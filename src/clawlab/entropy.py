@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClawError, FluxRangeError
+from .errors import FluxRangeError
 from .fluxes import ConvexFlux, chord_slope
 from .quadrature import adaptive_simpson
-from .riemann import Rarefaction, Shock, WaveFan
+from .riemann import Shock, WaveFan
 
 ArrayLike = float | np.ndarray
 
@@ -516,6 +516,15 @@ class EntropyLedger:
         return self.total_abs if self.mode == "abs" else self.total_signed
 
 
+def _clipped_lifetimes(traj, window):
+    """(front_id, u_minus, u_plus, sigma, lo, hi) for every front lifetime of
+    traj that meets the window, [lo, hi] being the time it spends inside."""
+    for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
+        lo, hi = window.clip_front(t_b, t_d, x_b, sigma)
+        if hi > lo:
+            yield fid, um, up, sigma, lo, hi
+
+
 def total_ep(
     traj,
     window: Window,
@@ -524,93 +533,48 @@ def total_ep(
 ) -> EntropyLedger:
     """Entropy production ledger of a tracked trajectory over a window.
 
-    Walks every front segment between events, clips its lifetime to the
-    window (rectangle or trapezoid), and accumulates rate x duration. The
-    ledger keeps one row per (front segment, window overlap), the signed
-    and absolute totals, and the per-front line density Delta.
+    Clips every front lifetime to the window (rectangle or trapezoid) and
+    accumulates rate x duration. The ledger keeps one row per front
+    lifetime that meets the window, the signed and absolute totals, and
+    the per-front line density Delta.
     """
     if mode not in ("abs", "signed"):
         raise FluxRangeError(f"ledger mode must be 'abs' or 'signed', got {mode!r}")
     flux = traj.flux
     ledger = EntropyLedger(window=window, mode=mode)
     density = delta_density_chord if use_chord_delta else delta_density
-    for t_a, t_b, state in traj.segments():
-        pos = np.asarray(state.positions, dtype=float)
-        vals = np.asarray(state.states, dtype=float)
-        speeds = np.asarray(state.speeds, dtype=float)
-        ids = state.front_ids
-        for i in range(len(pos)):
-            um = float(vals[i])
-            up = float(vals[i + 1])
-            if um == up:
-                continue
-            lo, hi = window.clip_front(t_a, t_b, float(pos[i]), float(speeds[i]))
-            if hi <= lo:
-                continue
-            rate = jump_ep_rate(flux, um, up)
-            row = LedgerRow(
-                front_id=int(ids[i]),
-                t_start=lo,
-                t_end=hi,
-                u_minus=um,
-                u_plus=up,
-                sigma=float(speeds[i]),
-                rate=rate,
-                abs_rate=abs(rate),
-                delta=density(flux, um, up),
-            )
-            ledger.rows.append(row)
-            ledger.total_signed += rate * (hi - lo)
-            ledger.total_abs += abs(rate) * (hi - lo)
+    for fid, um, up, sigma, lo, hi in _clipped_lifetimes(traj, window):
+        rate = jump_ep_rate(flux, um, up)
+        delta = density(flux, um, up)
+        ledger.rows.append(LedgerRow(fid, lo, hi, um, up, sigma, rate, abs(rate), delta))
+        ledger.total_signed += rate * (hi - lo)
+        ledger.total_abs += abs(rate) * (hi - lo)
     return ledger
 
 
 def total_ep_kinetic(traj, window: Window, tol: float = 1e-12) -> float:
     """Absolute EP recomputed through level-space quadrature of |k(a)|.
 
-    Fully independent of the closed-form rate: per segment the density is
-    integrated by adaptive Simpson, then weighted by in-window duration.
+    Fully independent of the closed-form rate: per front lifetime the
+    density is integrated by adaptive Simpson, then weighted by the
+    lifetime's in-window duration.
     """
     flux = traj.flux
     total = 0.0
-    for t_a, t_b, state in traj.segments():
-        pos = np.asarray(state.positions, dtype=float)
-        vals = np.asarray(state.states, dtype=float)
-        speeds = np.asarray(state.speeds, dtype=float)
-        for i in range(len(pos)):
-            um = float(vals[i])
-            up = float(vals[i + 1])
-            if um == up:
-                continue
-            lo, hi = window.clip_front(t_a, t_b, float(pos[i]), float(speeds[i]))
-            if hi <= lo:
-                continue
-            total += jump_abs_ep_rate_kinetic(flux, um, up, tol=tol) * (hi - lo)
+    for _, um, up, _, lo, hi in _clipped_lifetimes(traj, window):
+        total += jump_abs_ep_rate_kinetic(flux, um, up, tol=tol) * (hi - lo)
     return total
 
 
 def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> float:
     """Absolute EP through the jump-set route: Delta integrated in H^1 length.
 
-    Each front segment contributes Delta(u_-, u_+) times its H^1 length
+    Each front lifetime contributes Delta(u_-, u_+) times its H^1 length
     inside the window, sqrt(1 + sigma^2) x duration.
     """
     flux = traj.flux
     density = delta_density_chord if use_chord_delta else delta_density
     total = 0.0
-    for t_a, t_b, state in traj.segments():
-        pos = np.asarray(state.positions, dtype=float)
-        vals = np.asarray(state.states, dtype=float)
-        speeds = np.asarray(state.speeds, dtype=float)
-        for i in range(len(pos)):
-            um = float(vals[i])
-            up = float(vals[i + 1])
-            if um == up:
-                continue
-            lo, hi = window.clip_front(t_a, t_b, float(pos[i]), float(speeds[i]))
-            if hi <= lo:
-                continue
-            sigma = float(speeds[i])
-            length = (hi - lo) * math.sqrt(1.0 + sigma * sigma)
-            total += density(flux, um, up) * length
+    for _, um, up, sigma, lo, hi in _clipped_lifetimes(traj, window):
+        total += density(flux, um, up) * ((hi - lo) * math.sqrt(1.0 + sigma * sigma))
     return total

@@ -12,11 +12,11 @@ evolve loop advances a priority queue of pairwise collision events:
     valid weak continuation for scalar convex flux, so the forced-entropic
     fallback only triggers (and is logged) if a merge cannot be formed.
 
-Snapshots are emitted at every event time. Between events positions are
-affine in time, which downstream consumers (ledgers, traces, residuals)
-rely on. Snapshots taken exactly at an event carry coincident positions
-with strictly increasing speeds there; ordering is strict immediately
-after.
+Snapshots are emitted at every event time. Snapshots taken exactly at an
+event carry coincident positions with strictly increasing speeds there;
+ordering is strict immediately after. Between events a front keeps its
+states and speed, so Trajectory.lifetimes() derives one row per front
+life from the snapshots; ledgers, traces and residuals read those rows.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .compare import l1_steps
 from .errors import (
     ClawError,
     EventCascadeError,
@@ -39,7 +40,6 @@ from .fluxes import ConvexFlux, chord_slope
 from .riemann import (
     ENTROPIC_SHOCK,
     EXPANSION_SHOCK,
-    Rarefaction,
     Shock,
     WaveFan,
 )
@@ -47,7 +47,6 @@ from .riemann import (
 RAREFACTION_FRAGMENT = "rarefaction_fragment"
 
 _TIME_TOL = 1e-12
-_SPACE_TOL = 1e-12
 _MAX_SIMULTANEOUS = 64
 
 
@@ -82,6 +81,31 @@ class EventRecord:
     x: float
     kind: str  # "collision" | "emission" | "uncover"
     forced: bool = False
+
+
+@dataclass(frozen=True)
+class Lifetimes:
+    """Front lifetimes as struct-of-arrays rows.
+
+    Row r is front front_id[r] on [t_birth[r], t_death[r]], at
+    x_birth[r] + sigma[r] (t - t_birth[r]), with state u_minus[r] on its
+    left and u_plus[r] on its right.
+    """
+
+    front_id: np.ndarray
+    t_birth: np.ndarray
+    t_death: np.ndarray
+    x_birth: np.ndarray
+    sigma: np.ndarray
+    u_minus: np.ndarray
+    u_plus: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.front_id)
+
+    def __iter__(self):
+        """Rows as tuples of Python scalars, in field order."""
+        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
 
 @dataclass
@@ -137,19 +161,56 @@ class Trajectory:
             if t_b > t_a + _TIME_TOL or (i + 1 == len(snaps) and t_b > t_a):
                 yield (t_a, min(t_b, self.t_end), snap)
 
+    def lifetimes(self) -> Lifetimes:
+        """Front lifetimes derived from the snapshots.
+
+        One row per maximal run of consecutive segments in which a front
+        keeps its id, both states and its stored speed; a front whose id
+        survives a change of states starts a new row. Rows are in order of
+        birth segment, then left to right.
+        """
+        segs = list(self.segments())
+        snaps = [s for _, _, s in segs]
+        seg = np.repeat(np.arange(len(segs)), [s.n_fronts for s in snaps])
+        if seg.size == 0:
+            return Lifetimes(*([np.empty(0)] * 7))
+        ids = np.concatenate([s.front_ids for s in snaps])
+        u_minus = np.concatenate([s.states[:-1] for s in snaps])
+        u_plus = np.concatenate([s.states[1:] for s in snaps])
+        sigma = np.concatenate([s.speeds for s in snaps])
+        order = np.lexsort((seg, ids))
+        a, b = order[:-1], order[1:]
+        same = (
+            (ids[a] == ids[b])
+            & (seg[a] + 1 == seg[b])
+            & (u_minus[a] == u_minus[b])
+            & (u_plus[a] == u_plus[b])
+            & (sigma[a] == sigma[b])
+        )
+        first = order[np.concatenate(([True], ~same))]
+        last = order[np.concatenate((~same, [True]))]
+        birth_order = np.argsort(first)
+        first, last = first[birth_order], last[birth_order]
+        x_birth = np.concatenate([s.positions for s in snaps])
+        t_a = np.array([t for t, _, _ in segs])
+        t_b = np.array([t for _, t, _ in segs])
+        return Lifetimes(
+            front_id=ids[first],
+            t_birth=t_a[seg[first]],
+            t_death=t_b[seg[last]],
+            x_birth=x_birth[first],
+            sigma=sigma[first],
+            u_minus=u_minus[first],
+            u_plus=u_plus[first],
+        )
+
     def support_bbox(self) -> tuple[float, float]:
-        lo = math.inf
-        hi = -math.inf
-        for t_a, t_b, snap in self.segments():
-            if snap.n_fronts == 0:
-                continue
-            for t in (t_a, t_b):
-                dt = t - snap.time
-                lo = min(lo, float(snap.positions[0] + dt * snap.speeds[0]))
-                hi = max(hi, float(snap.positions[-1] + dt * snap.speeds[-1]))
-        if not np.isfinite(lo):
+        rows = self.lifetimes()
+        if len(rows) == 0:
             return (0.0, 0.0)
-        return (lo, hi)
+        x_death = rows.x_birth + rows.sigma * (rows.t_death - rows.t_birth)
+        ends = np.concatenate((rows.x_birth, x_death))
+        return (float(ends.min()), float(ends.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +376,7 @@ def linf(state: FrontState) -> float:
 
 def l1_between_states(a: FrontState, b: FrontState) -> float:
     """Exact L1 distance between two step functions with matching tails."""
-    if a.states[0] != b.states[0] or a.states[-1] != b.states[-1]:
-        raise InvariantViolation("L1 distance needs matching tail states")
-    cuts = np.unique(np.concatenate([a.positions, b.positions]))
-    if cuts.size == 0:
-        return 0.0
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    widths = np.diff(cuts)
-    total = float(
-        np.dot(np.abs(np.asarray(a.value_at(mids)) - np.asarray(b.value_at(mids))), widths)
-    )
-    return total
+    return l1_steps(*a.to_step(), *b.to_step())
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +614,14 @@ def evolve(
     start = initial
     if mode == "entropic":
         start = entropic_resolve_state(flux, initial, rarefaction_step)
+    return _track(flux, start, t_end, mode, rarefaction_step)
+
+
+def _track(flux, start, t_end, mode, rarefaction_step, uncover_events=None) -> Trajectory:
+    """Trajectory of the event loop run from `start` to t_end."""
     tracker = _Tracker(flux, start, mode, rarefaction_step)
     tracker.snapshots.append(tracker.snapshot())
-    tracker.run(t_end)
+    tracker.run(t_end, uncover_events)
     return Trajectory(
         flux=flux,
         snapshots=tracker.snapshots,

@@ -152,16 +152,6 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_panel(fn, lo: float, hi: float, n: int = 10) -> float:
-    """n-point Gauss-Legendre integral of a vectorized fn over [lo, hi]."""
-    if hi <= lo:
-        return 0.0
-    nodes, weights = leggauss(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(weights, fn(mid + half * nodes)))
-
-
 def vector_bisect_newton(
     g: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,

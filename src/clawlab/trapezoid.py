@@ -11,13 +11,14 @@ With lambda_hat below the reciprocal of the largest admissible wave speed
 transversally and the whole boundary is spacelike: the solution inside
 Gamma is determined by its trace on Lambda alone.
 
-trace_on_lambda walks a trajectory's front segments and records each
-crossing of Lambda as a breakpoint of a step function in the boundary
-parameter s (the x-coordinate of the boundary point). trapezoid_splice
-then rebuilds the solution inside Gamma from that trace alone: the flat
-part of the trace seeds an entropic re-solve at t1, and each lateral
-breakpoint becomes a timed uncover event injecting the newly exposed
-boundary value at the moving edge, resolved entropically on insertion.
+trace_on_lambda intersects a trajectory's front lifetimes with Lambda
+and records each crossing as a breakpoint of a step function in the
+boundary parameter s (the x-coordinate of the boundary point).
+trapezoid_splice then rebuilds the solution inside Gamma from that trace
+alone: the flat part of the trace seeds an entropic re-solve at t1, and
+each lateral breakpoint becomes a timed uncover event injecting the newly
+exposed boundary value at the moving edge, resolved entropically on
+insertion.
 Outside Gamma the original trajectory is kept verbatim; the two pieces
 agree along Lambda by construction, so the composite is again a weak
 solution on the whole strip, with every non-entropic front that lived
@@ -35,7 +36,7 @@ from .fluxes import ConvexFlux
 from .fronts import (
     FrontState,
     Trajectory,
-    _Tracker,
+    _track,
     entropic_resolve_state,
     front_state,
 )
@@ -162,10 +163,10 @@ class LambdaTrace:
 def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
     """Boundary data of a tracked trajectory along Lambda.
 
-    Each front segment is intersected with the flat bottom and the two
-    lateral edges; tangent fronts (speed within 1e-10 of the edge slope)
-    raise TangencyError, crossings within 1e-9 of a corner raise
-    ClawError, and t1 must not coincide with an event time.
+    The fronts alive at t1 cross the flat bottom; each front lifetime is
+    intersected with the two lateral edges. Tangent fronts (speed within
+    1e-10 of the edge slope) raise TangencyError, crossings within 1e-9 of
+    a corner raise ClawError, and t1 must not coincide with an event time.
     """
     if traj.t_start > dom.t1 or traj.t_end < dom.t2 - 1e-12:
         raise FluxRangeError(
@@ -200,48 +201,35 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
                 )
             )
 
-    for t_a, t_b, snap in traj.segments():
-        lo_t = max(t_a, dom.t1)
-        hi_t = min(t_b, dom.t2)
+    for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
+        lo_t = max(t_b, dom.t1)
+        hi_t = min(t_d, dom.t2)
         if hi_t <= lo_t:
             continue
-        for j in range(snap.n_fronts):
-            sigma = float(snap.speeds[j])
-            x_at = float(snap.positions[j]) + sigma * (t_a - snap.time)
-            if min(abs(sigma - inv), abs(sigma + inv)) <= _TANGENT_TOL:
-                raise TangencyError(
-                    f"front {int(snap.front_ids[j])} speed {sigma} is tangent "
-                    f"to the lateral boundary slope {inv}"
+        if min(abs(sigma - inv), abs(sigma + inv)) <= _TANGENT_TOL:
+            raise TangencyError(
+                f"front {fid} speed {sigma} is tangent to the lateral boundary slope {inv}"
+            )
+        # right edge: x(t) = delta + (t - t1) inv
+        t_r = (dom.delta - inv * dom.t1 - x_b + sigma * t_b) / (sigma - inv)
+        # left edge: x(t) = -delta - (t - t1) inv
+        t_l = (-dom.delta + inv * dom.t1 - x_b + sigma * t_b) / (sigma + inv)
+        for t_star, side in ((t_l, "left"), (t_r, "right")):
+            if not (lo_t < t_star <= hi_t):
+                continue
+            s = x_b + sigma * (t_star - t_b)
+            if abs(abs(s) - dom.delta) <= _CORNER_TOL:
+                raise ClawError(
+                    f"front crosses within {_CORNER_TOL} of a trapezoid "
+                    f"corner (s={s}); adjust delta or t1"
                 )
-            # right edge: x(t) = delta + (t - t1) inv
-            t_r = (dom.delta - inv * dom.t1 - x_at + sigma * t_a) / (sigma - inv)
-            # left edge: x(t) = -delta - (t - t1) inv
-            t_l = (-dom.delta + inv * dom.t1 - x_at + sigma * t_a) / (sigma + inv)
-            for t_star, side in ((t_l, "left"), (t_r, "right")):
-                if not (lo_t < t_star <= hi_t):
-                    continue
-                s = x_at + sigma * (t_star - t_a)
-                if abs(abs(s) - dom.delta) <= _CORNER_TOL:
-                    raise ClawError(
-                        f"front crosses within {_CORNER_TOL} of a trapezoid "
-                        f"corner (s={s}); adjust delta or t1"
-                    )
-                if (side == "left" and s >= -dom.delta) or (
-                    side == "right" and s <= dom.delta
-                ):
-                    continue
-                if abs(s) > dom.s_max + 1e-12:
-                    continue
-                crossings.append(
-                    Crossing(
-                        s=float(s),
-                        time=float(t_star),
-                        side=side,
-                        front_id=int(snap.front_ids[j]),
-                        u_before=float(snap.states[j]),
-                        u_after=float(snap.states[j + 1]),
-                    )
-                )
+            if (side == "left" and s >= -dom.delta) or (
+                side == "right" and s <= dom.delta
+            ):
+                continue
+            if abs(s) > dom.s_max + 1e-12:
+                continue
+            crossings.append(Crossing(s, t_star, side, fid, u_before=um, u_after=up))
 
     crossings.sort(key=lambda c: c.s)
     s_breaks = np.array([c.s for c in crossings])
@@ -366,18 +354,7 @@ def trapezoid_splice(
         new_value = c.u_before if side == "left" else c.u_after
         uncovers.append((t_u, c.s, side, new_value))
 
-    tracker = _Tracker(flux, seed, "entropic", rarefaction_step)
-    tracker.snapshots.append(tracker.snapshot())
-    tracker.run(dom.t2, uncover_events=uncovers)
-    resolved = Trajectory(
-        flux=flux,
-        snapshots=tracker.snapshots,
-        t_end=dom.t2,
-        mode="entropic",
-        rarefaction_step=rarefaction_step,
-        events=tracker.events,
-        forced_events=tracker.forced,
-    )
+    resolved = _track(flux, seed, dom.t2, "entropic", rarefaction_step, uncovers)
 
     id_offset = 1 + max(
         (int(np.max(s.front_ids)) for s in traj.snapshots if s.n_fronts), default=0

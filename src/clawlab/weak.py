@@ -16,7 +16,8 @@ with psi = X(x) T(t) separable,
     int f(u) d_x psi dx = -T(t)  sum_j [f]_j X(x_j),
 
 where XA is the antiderivative of X and [.]_j right-minus-left jumps.
-Only Gauss panels in t remain, so residuals of exact weak solutions sit
+Each front moves affinely over its lifetime (Trajectory.lifetimes), so
+only Gauss panels in t remain and residuals of exact weak solutions sit
 at quadrature noise (< 1e-9). Fans are integrated by panelled 2D Gauss
 quadrature split at the wave supports.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import ConvexFlux
 from .quadrature import leggauss
 from .riemann import WaveFan, evaluate_fan, fan_breakpoints
 
@@ -156,41 +156,41 @@ def default_battery_for(traj) -> list[BumpTest]:
 
 def trajectory_weak_residual(traj, psi: BumpTest, n_gauss: int = 14) -> float:
     """Residual of a tracked trajectory against one bump."""
-    flux = traj.flux
+    return _lifetime_residual(traj, traj.lifetimes(), psi, n_gauss)
+
+
+def _lifetime_residual(traj, rows, psi: BumpTest, n_gauss: int = 14) -> float:
+    """One Gauss sum over front lifetimes x time panels x nodes.
+
+    psi's time support is cut into at least four panels, none wider than
+    bt/12; each lifetime integrates the panels clipped to its life.
+    """
     nodes, weights = leggauss(n_gauss)
-    total = 0.0
     t_lo_psi, t_hi_psi = psi.t_support
-
-    def time_integrand(ts: np.ndarray, snap) -> np.ndarray:
-        out = np.zeros_like(ts)
-        jumps_u = np.diff(snap.states)
-        jumps_f = np.diff(np.asarray(flux.f(snap.states), dtype=float))
-        for k, t in enumerate(ts):
-            xj = snap.positions + (t - snap.time) * snap.speeds
-            term_t = -float(psi.dt_part(t)) * float(np.dot(jumps_u, psi.x_anti(xj)))
-            term_x = -float(psi.t_part(t)) * float(np.dot(jumps_f, psi.x_part(xj)))
-            out[k] = term_t + term_x
-        return out
-
-    for t_a, t_b, snap in traj.segments():
-        lo = max(t_a, t_lo_psi, traj.t_start)
-        hi = min(t_b, t_hi_psi)
-        if hi <= lo or snap.n_fronts == 0:
-            continue
-        n_panels = max(4, int(np.ceil((hi - lo) / (psi.bt / 12.0))))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            ts = mid + half * nodes
-            total += half * float(np.dot(weights, time_integrand(ts, snap)))
-    # initial-data term
     t0 = traj.t_start
+    jumps_u = rows.u_plus - rows.u_minus
+    lo = max(t_lo_psi, t0)
+    total = 0.0
+    if t_hi_psi > lo:
+        n_panels = max(4, int(np.ceil((t_hi_psi - lo) / (psi.bt / 12.0))))
+        edges = np.linspace(lo, t_hi_psi, n_panels + 1)
+        a = np.maximum(edges[None, :-1], rows.t_birth[:, None])
+        b = np.minimum(edges[None, 1:], rows.t_death[:, None])
+        r, p = np.nonzero(b > a)
+        a, b = a[r, p], b[r, p]
+        half = 0.5 * (b - a)
+        ts = (0.5 * (a + b))[:, None] + half[:, None] * nodes[None, :]
+        xs = rows.x_birth[r, None] + rows.sigma[r, None] * (ts - rows.t_birth[r, None])
+        f = traj.flux.f
+        jumps_f = np.asarray(f(rows.u_plus)) - np.asarray(f(rows.u_minus))
+        term_t = psi.dt_part(ts) * jumps_u[r, None] * psi.x_anti(xs)
+        term_x = psi.t_part(ts) * jumps_f[r, None] * psi.x_part(xs)
+        total = -float(np.dot(half, (term_t + term_x) @ weights))
+    # initial-data term, from the fronts alive at t0
     if t_lo_psi < t0 < t_hi_psi:
-        snap0 = traj.snapshots[0]
-        jumps_u = np.diff(snap0.states)
-        total += -float(psi.t_part(t0)) * float(
-            np.dot(jumps_u, psi.x_anti(snap0.positions))
+        born = rows.t_birth == t0
+        total -= float(psi.t_part(t0)) * float(
+            np.dot(jumps_u[born], psi.x_anti(rows.x_birth[born]))
         )
     return total
 
@@ -198,7 +198,8 @@ def trajectory_weak_residual(traj, psi: BumpTest, n_gauss: int = 14) -> float:
 def trajectory_max_residual(traj, battery=None) -> float:
     if battery is None:
         battery = default_battery_for(traj)
-    return max(abs(trajectory_weak_residual(traj, psi)) for psi in battery)
+    rows = traj.lifetimes()
+    return max(abs(_lifetime_residual(traj, rows, psi)) for psi in battery)
 
 
 def fan_weak_residual(

@@ -5,6 +5,7 @@ import pytest
 
 from clawlab import (
     InvariantViolation,
+    TrapezoidDomain,
     burgers_flux,
     check_e_condition_state,
     cosh_flux,
@@ -12,13 +13,15 @@ from clawlab import (
     evolve,
     from_fan,
     get_scenario,
+    lambda0,
     resolve_jump,
     solve_riemann,
     state_from_data,
+    trapezoid_splice,
 )
 from clawlab.errors import FluxRangeError
 from clawlab.fluxes import chord_slope
-from clawlab.fronts import l1_between_states, linf, mass
+from clawlab.fronts import Trajectory, front_state, l1_between_states, linf, mass
 
 MASS_TOL = 1e-10
 
@@ -215,3 +218,85 @@ def test_sample_matches_value_at():
     got = traj.sample(2.0, xs)
     want = np.where(xs <= 1.0, 1.0, 0.0)
     assert np.allclose(got, want)
+
+
+def _steps(seed, n, x_half, u_half):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-x_half, x_half, n))
+    us = rng.uniform(-u_half, u_half, n + 1)
+    us[0] = us[-1] = 0.0
+    return xs, us
+
+
+def _two_shock_merge():
+    sc = get_scenario("two_shock_merge")
+    fl = sc.make_flux()
+    return evolve(sc.initial_state(fl), fl, 2.0)
+
+
+def _entropic_20_jumps():
+    fl = burgers_flux(2.0)
+    xs, us = _steps(23, 20, 2.0, 1.5)
+    return evolve(state_from_data(fl, xs, us), fl, 1.0, rarefaction_step=0.1)
+
+
+def _as_given():
+    fl = burgers_flux(2.0)
+    xs, us = _steps(23, 8, 2.0, 1.5)
+    return evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given")
+
+
+def _spliced():
+    fl = burgers_flux(1.5)
+    xs, us = _steps(1002, 5, 1.0, 1.0)
+    traj = evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given",
+                  rarefaction_step=0.05)
+    dom = TrapezoidDomain(t1=0.2, t2=0.8, delta=0.5, lambda_hat=0.9 * lambda0(fl, 1.0))
+    return trapezoid_splice(traj, dom)
+
+
+def _states_change():
+    """One front keeps its id and its speed 1/2 while both its states change."""
+    fl = burgers_flux()
+    a = front_state(fl, 0.0, [0.0], [1.0, 0.0], front_ids=[0])
+    b = front_state(fl, 0.5, [0.25], [0.75, 0.25], front_ids=[0])
+    assert a.speeds[0] == b.speeds[0] == 0.5
+    return Trajectory(flux=fl, snapshots=[a, b], t_end=1.0, mode="as_given",
+                      rarefaction_step=0.01)
+
+
+@pytest.mark.parametrize(
+    "build", [_two_shock_merge, _entropic_20_jumps, _as_given, _spliced, _states_change]
+)
+def test_lifetimes_partition_the_segments(build):
+    """Each (segment, front) pair lies in exactly one lifetime row that
+    carries its id, states and speed and reproduces its positions."""
+    traj = build()
+    rows = traj.lifetimes()
+    used = np.zeros(len(rows), dtype=bool)
+    for t_a, t_b, snap in traj.segments():
+        for j in range(snap.n_fronts):
+            hit = np.nonzero(
+                (rows.front_id == snap.front_ids[j])
+                & (rows.t_birth <= t_a)
+                & (rows.t_death >= t_b)
+            )[0]
+            assert hit.size == 1, (t_a, int(snap.front_ids[j]))
+            r = int(hit[0])
+            used[r] = True
+            assert rows.u_minus[r] == snap.states[j]
+            assert rows.u_plus[r] == snap.states[j + 1]
+            assert rows.sigma[r] == snap.speeds[j]
+            for t in (t_a, t_b):
+                x = snap.positions[j] + snap.speeds[j] * (t - snap.time)
+                x_row = rows.x_birth[r] + rows.sigma[r] * (t - rows.t_birth[r])
+                assert abs(x_row - x) <= 1e-12 * max(1.0, abs(x))
+    assert used.all()
+
+
+def test_lifetimes_start_a_row_when_states_change():
+    rows = _states_change().lifetimes()
+    assert list(rows.front_id) == [0, 0]
+    assert list(rows.t_birth) == [0.0, 0.5]
+    assert list(rows.t_death) == [0.5, 1.0]
+    assert list(rows.u_minus) == [1.0, 0.75]
