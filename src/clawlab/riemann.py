@@ -96,18 +96,6 @@ class WaveFan:
     waves: tuple[Wave, ...]
     entropic_flag: str  # "entropic" | "non-entropic"
 
-    @property
-    def min_state(self) -> float:
-        vals = [self.left_state, self.right_state]
-        vals += [w.left_value for w in self.waves] + [w.right_value for w in self.waves]
-        return min(vals)
-
-    @property
-    def max_state(self) -> float:
-        vals = [self.left_state, self.right_state]
-        vals += [w.left_value for w in self.waves] + [w.right_value for w in self.waves]
-        return max(vals)
-
 
 def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
     """Structural audit: state chaining, RH speeds, support ordering.
