@@ -51,6 +51,7 @@ from .fluxes import (
     ConvexFlux,
     burgers_flux,
     chord_slope,
+    chord_slopes,
     convex_conjugate,
     cosh_flux,
     inverse_derivative,

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FluxRangeError
-from .fluxes import ConvexFlux, chord_slope
+from .fluxes import ConvexFlux, chord_slope, chord_slopes
 from .quadrature import QuadratureError, leggauss
 from .riemann import Shock, WaveFan
 
@@ -99,7 +99,7 @@ def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
     out, prev = np.zeros((2, um.size)), np.full(um.size, np.inf)
     rows = np.flatnonzero(um != up)
     sigma = np.zeros(um.size)
-    sigma[rows] = [chord_slope(flux, float(um[i]), float(up[i])) for i in rows]
+    sigma[rows] = chord_slopes(flux, um[rows], up[rows])
     lo, half = np.minimum(um, up)[:, None, None], 0.5 * np.abs(um - up)[:, None, None]
     nodes, weights = leggauss(10)
     panels = 1

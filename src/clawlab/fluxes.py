@@ -176,7 +176,7 @@ def make_flux(name: str, domain_radius: float = 2.0) -> ConvexFlux:
 def _check_band(flux: ConvexFlux, u: ArrayLike, what: str) -> None:
     r = flux.domain_radius
     arr = np.asarray(u, dtype=float)
-    if np.any(np.abs(arr) > r * (1.0 + 1e-12) + 1e-12):
+    if (np.abs(arr) > r * (1.0 + 1e-12) + 1e-12).any():
         bad = float(np.ravel(arr)[int(np.argmax(np.abs(np.ravel(arr))))])
         raise FluxRangeError(
             f"{what} {bad} outside the admissible band [{-r}, {r}] of flux {flux.name!r}"
@@ -237,12 +237,25 @@ def convex_conjugate(flux: ConvexFlux, p: ArrayLike) -> ArrayLike:
     return float(out) if np.ndim(p) == 0 else np.asarray(out, dtype=float)
 
 
+def chord_slopes(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """Elementwise Rankine-Hugoniot speeds (f(a) - f(b)) / (a - b).
+
+    Raises DegenerateChordError naming the first pair with a == b, then
+    FluxRangeError if any state leaves the band.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    same = a == b
+    if same.any():
+        u = float(np.broadcast_to(a, same.shape)[same][0])
+        raise DegenerateChordError(f"chord of the degenerate pair ({u}, {u})")
+    _check_band(flux, np.concatenate((a, b), axis=None), "state")
+    return (flux.f(a) - flux.f(b)) / (a - b)
+
+
 def chord_slope(flux: ConvexFlux, a: float, b: float) -> float:
     """Rankine-Hugoniot speed (f(a) - f(b)) / (a - b) of the jump (a, b)."""
-    if a == b:
-        raise DegenerateChordError(f"chord of the degenerate pair ({a}, {a})")
-    _check_band(flux, np.array([a, b]), "state")
-    return float((flux.f(a) - flux.f(b)) / (a - b))
+    return float(chord_slopes(flux, a, b))
 
 
 def validate_flux(flux: ConvexFlux, n: int = 4001, tol: float = 1e-7) -> None:

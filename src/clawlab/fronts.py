@@ -12,11 +12,17 @@ evolve loop advances a priority queue of pairwise collision events:
     valid weak continuation for scalar convex flux, so the forced-entropic
     fallback only triggers (and is logged) if a merge cannot be formed.
 
+The tracker holds positions, speeds, states and ids in numpy arrays, so
+an event costs interpreted work in the size of its collision group; moving
+the fronts, splicing the group in and copying the snapshot are C-speed
+passes over the arrays.
+
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
 ordering is strict immediately after. Between events a front keeps its
 states and speed, so Trajectory.lifetimes() derives one row per front
-life from the snapshots; ledgers, traces and residuals read those rows.
+life from the snapshots, once per trajectory; ledgers, traces and
+residuals read those rows.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     FluxRangeError,
     InvariantViolation,
 )
-from .fluxes import ConvexFlux, chord_slope
+from .fluxes import ConvexFlux, chord_slope, chord_slopes
 from .riemann import (
     ENTROPIC_SHOCK,
     EXPANSION_SHOCK,
@@ -119,6 +125,9 @@ class Trajectory:
     rarefaction_step: float
     events: list[EventRecord] = field(default_factory=list)
     forced_events: list[EventRecord] = field(default_factory=list)
+    _lifetimes: Lifetimes | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def t_start(self) -> float:
@@ -162,13 +171,22 @@ class Trajectory:
                 yield (t_a, min(t_b, self.t_end), snap)
 
     def lifetimes(self) -> Lifetimes:
-        """Front lifetimes derived from the snapshots.
+        """Front lifetimes derived from the snapshots on the first call.
 
         One row per maximal run of consecutive segments in which a front
         keeps its id, both states and its stored speed; a front whose id
         survives a change of states starts a new row. Rows are in order of
-        birth segment, then left to right.
+        birth segment, then left to right. Later calls return the same
+        table, whose arrays are read-only.
         """
+        if self._lifetimes is None:
+            rows = self._derive_lifetimes()
+            for f in fields(rows):
+                getattr(rows, f.name).flags.writeable = False
+            self._lifetimes = rows
+        return self._lifetimes
+
+    def _derive_lifetimes(self) -> Lifetimes:
         segs = list(self.segments())
         snaps = [s for _, _, s in segs]
         seg = np.repeat(np.arange(len(segs)), [s.n_fronts for s in snaps])
@@ -242,14 +260,13 @@ def front_state(
         raise FluxRangeError(
             f"states exceed the band [-{flux.domain_radius}, {flux.domain_radius}]"
         )
-    for i in range(len(pos)):
-        if vals[i] == vals[i + 1]:
-            raise InvariantViolation(
-                f"front {i} at x={pos[i]} separates equal states {vals[i]}"
-            )
-    speeds = np.array(
-        [chord_slope(flux, float(vals[i]), float(vals[i + 1])) for i in range(len(pos))]
-    )
+    flat = np.flatnonzero(vals[:-1] == vals[1:])
+    if flat.size:
+        i = int(flat[0])
+        raise InvariantViolation(
+            f"front {i} at x={pos[i]} separates equal states {vals[i]}"
+        )
+    speeds = chord_slopes(flux, vals[:-1], vals[1:])
     # Where positions coincide (event instants) the fronts must fan out.
     same = np.where(np.diff(pos) <= 0.0)[0]
     for i in same:
@@ -270,7 +287,13 @@ def front_state(
 
 
 def state_from_data(flux: ConvexFlux, xs, us, time: float = 0.0) -> FrontState:
-    """Snapshot straight from step-function data, dropping zero jumps."""
+    """Snapshot straight from step-function data.
+
+    us[i] is the value on (xs[i-1], xs[i]). Zero-width pieces (repeated
+    breakpoints) carry no mass in L1 and are dropped first, so a repeated
+    breakpoint becomes one jump from the value on its left to the value on
+    its right; then zero jumps are dropped.
+    """
     xs = list(map(float, xs))
     us = list(map(float, us))
     if len(us) != len(xs) + 1:
@@ -279,8 +302,8 @@ def state_from_data(flux: ConvexFlux, xs, us, time: float = 0.0) -> FrontState:
         )
     pos: list[float] = []
     vals: list[float] = [us[0]]
-    for x, u in zip(xs, us[1:]):
-        if u == vals[-1]:
+    for i, (x, u) in enumerate(zip(xs, us[1:])):
+        if u == vals[-1] or (i + 1 < len(xs) and xs[i + 1] == x):
             continue
         pos.append(x)
         vals.append(u)
@@ -325,11 +348,10 @@ def from_fan(fan: WaveFan, t: float, rarefaction_step: float | None = None) -> F
             vals.append(w.u_plus)
             kinds.append(w.kind)
         else:
-            chain, _ = resolve_jump(flux, w.u_lo, w.u_hi, rarefaction_step)
-            for a, b in zip(chain[:-1], chain[1:]):
-                pos.append(chord_slope(flux, a, b) * t)
-                vals.append(b)
-                kinds.append(RAREFACTION_FRAGMENT)
+            chain, ks = resolve_jump(flux, w.u_lo, w.u_hi, rarefaction_step)
+            pos.extend(chord_slopes(flux, chain[:-1], chain[1:]) * t)
+            vals.extend(chain[1:])
+            kinds.extend(ks)
     return front_state(flux, t, pos, vals, kinds)
 
 
@@ -384,36 +406,41 @@ def l1_between_states(a: FrontState, b: FrontState) -> float:
 
 
 class _Tracker:
+    """State of the event loop, fronts held left to right in numpy arrays.
+
+    pos, speeds and ids have one entry per front and vals one more (the
+    states between them); kinds stays a list of labels. Moving every front
+    is one vectorized pos + speeds * dt, a snapshot is one copy per array,
+    and a collision or uncover splices its group in with one np.concatenate
+    per array. So an event costs interpreted work in the size of its group,
+    plus C-speed passes over the arrays. Heap entries hold Python scalars.
+    """
+
     def __init__(self, flux: ConvexFlux, snap: FrontState, mode: str, step: float):
         self.flux = flux
         self.mode = mode
         self.step = step
         self.t = snap.time
-        self.pos = list(map(float, snap.positions))
-        self.vals = list(map(float, snap.states))
+        self.pos = np.array(snap.positions, dtype=float)
+        self.vals = np.array(snap.states, dtype=float)
         self.kinds = list(snap.kinds)
-        self.speeds = list(map(float, snap.speeds))
-        self.ids = list(map(int, snap.front_ids))
-        self._next_id = max(self.ids, default=-1) + 1
+        self.speeds = np.array(snap.speeds, dtype=float)
+        self.ids = np.array(snap.front_ids, dtype=int)
+        self._next_id = int(self.ids.max()) + 1 if self.ids.size else 0
         self._counter = itertools.count()
         self.heap: list[tuple] = []
         self.snapshots: list[FrontState] = []
         self.events: list[EventRecord] = []
         self.forced: list[EventRecord] = []
 
-    def new_id(self) -> int:
-        i = self._next_id
-        self._next_id += 1
-        return i
-
     def snapshot(self) -> FrontState:
         return FrontState(
             time=self.t,
-            positions=np.array(self.pos),
-            states=np.array(self.vals),
-            speeds=np.array(self.speeds),
+            positions=self.pos.copy(),
+            states=self.vals.copy(),
+            speeds=self.speeds.copy(),
             kinds=tuple(self.kinds),
-            front_ids=np.array(self.ids, dtype=int),
+            front_ids=self.ids.copy(),
         )
 
     def advance_to(self, t: float) -> None:
@@ -421,54 +448,56 @@ class _Tracker:
         if dt < -_TIME_TOL:
             raise InvariantViolation(f"time regression {self.t} -> {t}")
         if dt != 0.0:
-            self.pos = [x + s * dt for x, s in zip(self.pos, self.speeds)]
+            self.pos = self.pos + self.speeds * dt
         self.t = t
 
     def push_pair(self, i: int, t_stop: float) -> None:
-        if i < 0 or i + 1 >= len(self.pos):
+        if i < 0 or i + 1 >= self.pos.size:
             return
-        rel = self.speeds[i] - self.speeds[i + 1]
+        s_l, s_r = self.speeds[i : i + 2].tolist()
+        rel = s_l - s_r
         if rel <= 1e-14:
             return
-        gap = self.pos[i + 1] - self.pos[i]
-        dt = max(gap, 0.0) / rel
+        x_l, x_r = self.pos[i : i + 2].tolist()
+        dt = max(x_r - x_l, 0.0) / rel
         t_col = self.t + dt
         if t_col > t_stop + _TIME_TOL:
             return
-        x_col = self.pos[i] + self.speeds[i] * dt
-        heapq.heappush(
-            self.heap,
-            (t_col, x_col, next(self._counter), self.ids[i], self.ids[i + 1]),
-        )
+        x_col = x_l + s_l * dt
+        id_l, id_r = self.ids[i : i + 2].tolist()
+        heapq.heappush(self.heap, (t_col, x_col, next(self._counter), id_l, id_r))
 
     def push_all_pairs(self, t_stop: float) -> None:
-        for i in range(len(self.pos) - 1):
+        for i in range(self.pos.size - 1):
             self.push_pair(i, t_stop)
 
     def _pair_indices(self, id_l: int, id_r: int) -> tuple[int, int] | None:
-        try:
-            i = self.ids.index(id_l)
-        except ValueError:
+        hit = np.flatnonzero(self.ids == id_l)
+        if hit.size == 0:
             return None
-        if i + 1 >= len(self.ids) or self.ids[i + 1] != id_r:
+        i = int(hit[0])
+        if i + 1 >= self.ids.size or self.ids[i + 1] != id_r:
             return None
         return (i, i + 1)
 
     def replace_group(
         self, p: int, q: int, x: float, chain: list[float], kinds: list[str]
     ) -> tuple[int, int]:
-        """Replace fronts p..q (inclusive) by the chain emitted at x."""
+        """Replace fronts p..q (inclusive) by the chain emitted at x.
+
+        q = p - 1 inserts the chain's fronts before front p, replacing
+        only the state vals[p].
+        """
         k = len(chain) - 1
-        new_pos = [x] * k
-        new_speeds = [
-            chord_slope(self.flux, chain[j], chain[j + 1]) for j in range(k)
-        ]
-        new_ids = [self.new_id() for _ in range(k)]
-        self.pos[p : q + 1] = new_pos
-        self.speeds[p : q + 1] = new_speeds
+        vals = np.asarray(chain, dtype=float)
+        speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
+        ids = np.arange(self._next_id, self._next_id + k)
+        self._next_id += k
+        self.pos = np.concatenate((self.pos[:p], np.full(k, x), self.pos[q + 1 :]))
+        self.speeds = np.concatenate((self.speeds[:p], speeds, self.speeds[q + 1 :]))
         self.kinds[p : q + 1] = kinds
-        self.ids[p : q + 1] = new_ids
-        self.vals[p : q + 2] = chain
+        self.ids = np.concatenate((self.ids[:p], ids, self.ids[q + 1 :]))
+        self.vals = np.concatenate((self.vals[:p], vals, self.vals[q + 2 :]))
         return (p, p + k - 1)
 
     def run(self, t_end: float, uncover_events: list | None = None) -> None:
@@ -480,7 +509,7 @@ class _Tracker:
             next_col = self.heap[0][0] if self.heap else math.inf
             next_unc = uncovers[u_idx][0] if u_idx < len(uncovers) else math.inf
             t_next = min(next_col, next_unc)
-            if t_next > t_end + _TIME_TOL or not np.isfinite(t_next):
+            if t_next > t_end + _TIME_TOL or not math.isfinite(t_next):
                 break
             if next_unc <= next_col:
                 t, x, side, new_value = uncovers[u_idx]
@@ -509,9 +538,8 @@ class _Tracker:
             hi = max(p[1] for _, p in group)
             # Guard against accidental grouping of distinct collisions: every
             # front in the merged span must actually sit at the event point.
-            coincident = all(
-                abs(self.pos[i] - x) <= 1e-8 * max(1.0, abs(x))
-                for i in range(lo, hi + 1)
+            coincident = bool(
+                np.all(np.abs(self.pos[lo : hi + 1] - x) <= 1e-8 * max(1.0, abs(x)))
             )
             if not coincident:
                 lo, hi = pair
@@ -529,8 +557,8 @@ class _Tracker:
         self.snapshots.append(self.snapshot())
 
     def _apply_collision(self, p: int, q: int, x: float, t_end: float) -> None:
-        u_left = self.vals[p]
-        u_right = self.vals[q + 1]
+        u_left = float(self.vals[p])
+        u_right = float(self.vals[q + 1])
         forced = False
         if self.mode == "entropic":
             chain, kinds = resolve_jump(self.flux, u_left, u_right, self.step)
@@ -557,33 +585,17 @@ class _Tracker:
     def _apply_uncover(self, x: float, side: str, new_value: float, t_end: float) -> None:
         """Inject boundary data at the moving edge of a trapezoid re-solve."""
         if side == "left":
-            old = self.vals[0]
+            old = float(self.vals[0])
             chain, kinds = resolve_jump(self.flux, new_value, old, self.step)
-            k = len(chain) - 1
-            self.pos[0:0] = [x] * k
-            self.speeds[0:0] = [
-                chord_slope(self.flux, chain[j], chain[j + 1]) for j in range(k)
-            ]
-            self.kinds[0:0] = kinds
-            self.ids[0:0] = [self.new_id() for _ in range(k)]
-            self.vals[0:1] = chain
-            touched = range(-1, k + 1)
+            first, last = self.replace_group(0, -1, x, chain, kinds)
         else:
-            old = self.vals[-1]
+            old = float(self.vals[-1])
             chain, kinds = resolve_jump(self.flux, old, new_value, self.step)
-            k = len(chain) - 1
-            base = len(self.pos)
-            self.pos.extend([x] * k)
-            self.speeds.extend(
-                chord_slope(self.flux, chain[j], chain[j + 1]) for j in range(k)
-            )
-            self.kinds.extend(kinds)
-            self.ids.extend(self.new_id() for _ in range(k))
-            self.vals[-1:] = chain
-            touched = range(base - 1, base + k)
+            n = self.pos.size
+            first, last = self.replace_group(n, n - 1, x, chain, kinds)
         self.events.append(EventRecord(self.t, x, "uncover"))
         self.snapshots.append(self.snapshot())
-        for i in touched:
+        for i in range(first - 1, last + 2):
             self.push_pair(i, t_end)
 
 

@@ -8,6 +8,7 @@ from clawlab import (
     DegenerateChordError,
     burgers_flux,
     chord_slope,
+    chord_slopes,
     convex_conjugate,
     cosh_flux,
     inverse_derivative,
@@ -63,6 +64,35 @@ def test_chord_degenerate_pair():
 def test_chord_band_enforcement():
     with pytest.raises(FluxRangeError):
         chord_slope(burgers_flux(2.0), 2.5, 0.0)
+
+
+@pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda fl: fl.name)
+def test_chord_slopes_match_the_scalar_formula_bit_for_bit(flux):
+    rng = np.random.default_rng(29)
+    r = flux.domain_radius
+    a, b = rng.uniform(-r, r, size=(2, 2000))
+    a[:5] = [r, -r, 0.0, 1e-300, 0.5]
+    b[:5] = [-r, r, 1e-300, 0.0, np.nextafter(0.5, 1.0)]
+    got = chord_slopes(flux, a, b)
+    loop = [float((flux.f(x) - flux.f(y)) / (x - y)) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(got, loop)
+    assert np.array_equal(got, [chord_slope(flux, x, y) for x, y in zip(a, b)])
+    assert chord_slopes(flux, [], []).shape == (0,)
+
+
+def test_chord_slopes_errors_match_the_scalar_ones():
+    fl = burgers_flux(2.0)
+    with pytest.raises(DegenerateChordError, match=r"\(0\.3, 0\.3\)"):
+        chord_slopes(fl, [0.1, 0.3], [0.2, 0.3])
+    with pytest.raises(DegenerateChordError, match=r"\(0\.3, 0\.3\)"):
+        chord_slope(fl, 0.3, 0.3)
+    with pytest.raises(FluxRangeError, match="state 2.5 outside"):
+        chord_slopes(fl, [0.1, 2.5], [0.0, 0.0])
+    with pytest.raises(FluxRangeError, match="state -2.5 outside"):
+        chord_slope(fl, 0.0, -2.5)
+    # the degenerate pair is reported before the band
+    with pytest.raises(DegenerateChordError):
+        chord_slopes(fl, [2.5, 0.3], [0.0, 0.3])
 
 
 @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda fl: fl.name)

@@ -7,6 +7,7 @@ from clawlab import (
     InvariantViolation,
     TrapezoidDomain,
     burgers_flux,
+    cell_averages_from_step,
     check_e_condition_state,
     cosh_flux,
     entropic_resolve_state,
@@ -14,13 +15,15 @@ from clawlab import (
     from_fan,
     get_scenario,
     lambda0,
+    poly4_flux,
+    potential_from_step,
     resolve_jump,
     solve_riemann,
     state_from_data,
     trapezoid_splice,
 )
 from clawlab.errors import FluxRangeError
-from clawlab.fluxes import chord_slope
+from clawlab.fluxes import chord_slope, chord_slopes
 from clawlab.fronts import Trajectory, front_state, l1_between_states, linf, mass
 
 MASS_TOL = 1e-10
@@ -300,3 +303,88 @@ def test_lifetimes_start_a_row_when_states_change():
     assert list(rows.t_birth) == [0.0, 0.5]
     assert list(rows.t_death) == [0.5, 1.0]
     assert list(rows.u_minus) == [1.0, 0.75]
+
+
+def test_lifetimes_are_derived_once_and_read_only():
+    traj = _entropic_20_jumps()
+    rows = traj.lifetimes()
+    assert traj.lifetimes() is rows
+    with pytest.raises(ValueError):
+        rows.sigma[0] = 0.0
+
+
+def _entropic_100_jumps():
+    fl = burgers_flux(2.0)
+    xs, us = _steps(100, 100, 5.0, 1.5)
+    return evolve(state_from_data(fl, xs, us), fl, 1.0)
+
+
+def _as_given_40_jumps():
+    fl = cosh_flux(2.0)
+    xs, us = _steps(101, 40, 2.0, 1.5)
+    return evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given")
+
+
+@pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps])
+def test_snapshots_follow_the_fronts_exactly(build):
+    """Between consecutive snapshots a surviving front moves by exactly
+    speed * dt, every stored speed is the chord of its states, and no
+    snapshot shares memory with another."""
+    traj = build()
+    snaps = traj.snapshots
+    assert len(traj.events) > 20
+    for a, b in zip(snaps[:-1], snaps[1:]):
+        _, ia, ib = np.intersect1d(a.front_ids, b.front_ids, return_indices=True)
+        kept = a.speeds[ia] == b.speeds[ib]
+        ia, ib = ia[kept], ib[kept]
+        assert np.array_equal(
+            b.positions[ib], a.positions[ia] + a.speeds[ia] * (b.time - a.time)
+        )
+        for x, y in zip(
+            (a.positions, a.states, a.speeds, a.front_ids),
+            (b.positions, b.states, b.speeds, b.front_ids),
+        ):
+            assert not np.shares_memory(x, y)
+    for s in snaps:
+        assert np.array_equal(s.speeds, chord_slopes(traj.flux, s.states[:-1], s.states[1:]))
+    arrays = [
+        arr for s in snaps for arr in (s.positions, s.states, s.speeds, s.front_ids)
+    ]
+    # arrays that own their buffers and are distinct objects cannot overlap
+    assert all(arr.base is None for arr in arrays)
+    assert len({id(arr) for arr in arrays}) == len(arrays)
+
+
+@pytest.mark.parametrize(
+    "mid", [(2.0, 1.0, 0.5), (0.5, 1.0, 0.5), (0.5, 1.0, 2.0)],
+    ids=["descending", "up_down", "ascending"],
+)
+def test_repeated_breakpoints_agree_across_entry_points(mid):
+    """A zero-width piece carries no mass: front tracking, the Hopf-Lax
+    potential and exact cell averages see the same step function."""
+    fl = poly4_flux(2.5)
+    xs = [-1.0, 0.0, 0.0, 1.0]
+    us = [0.0, *mid, 0.0]
+    state = state_from_data(fl, xs, us)
+    assert list(state.positions) == sorted(set(state.positions))
+    want_mass = mid[0] + mid[2]
+    assert mass(state) == want_mass
+    g0 = potential_from_step(xs, us).g0
+    assert g0(3.0) - g0(-3.0) == pytest.approx(want_mass, abs=1e-14)
+    edges = np.linspace(-2.0, 2.0, 41)
+    avg = cell_averages_from_step(xs, us, edges)
+    dx = np.diff(edges)
+    assert float(np.dot(avg, dx)) == pytest.approx(want_mass, abs=1e-12)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    step = state.value_at(mids)
+    assert np.allclose(avg, step, rtol=0.0, atol=1e-12)
+    slope = (g0(mids + 0.01) - g0(mids - 0.01)) / 0.02
+    assert np.allclose(slope, step, rtol=0.0, atol=1e-12)
+
+
+def test_repeated_breakpoint_becomes_one_jump():
+    fl = burgers_flux()
+    for us, n in (([2.0, 1.0, 0.0], 1), ([0.0, 1.0, 0.0], 0), ([0.0, 1.0, 2.0], 1)):
+        state = state_from_data(fl, [0.0, 0.0], us)
+        assert state.n_fronts == n
+        assert state.states[0] == us[0] and state.states[-1] == us[-1]
