@@ -40,7 +40,7 @@ from .errors import ClawError, ConfigError
 from .fluxes import FLUX_CATALOG, chord_slope, make_flux
 from .fronts import evolve, state_from_data
 from .godunov import convergence_study, run_godunov
-from .hopflax import hopf_lax_value, oracle_u, potential_from_step
+from .hopflax import potential_from_step, sample_oracle, sample_potential
 from .riemann import family_sweep, fan_to_dict, solve_riemann, validate_fan
 from .scenarios import get_scenario
 from .trapezoid import TrapezoidDomain, lambda0, trapezoid_splice
@@ -654,11 +654,9 @@ def cmd_hopflax(cfg: dict) -> int:
     if n < 2 or x_hi <= x_lo:
         raise ConfigError("hopflax needs n_samples >= 2 and x_hi > x_lo")
     grid = np.linspace(x_lo, x_hi, n)
-    rows = []
-    for x in grid:
-        g = hopf_lax_value(data, flux, float(x), t)
-        u = oracle_u(data, flux, float(x), t)
-        rows.append((float(x), t, g, u))
+    g = sample_potential(data, flux, grid, t)
+    u = sample_oracle(data, flux, grid, t)
+    rows = [(x, t, gx, ux) for x, gx, ux in zip(grid.tolist(), g.tolist(), u.tolist())]
     out = _outdir(cfg)
     meta = {"flux": flux.name, "t": t, "delta_u": step}
     write_csv(out / "hopflax_samples.csv", meta, ["x", "t", "g", "u"], rows)
@@ -666,7 +664,7 @@ def cmd_hopflax(cfg: dict) -> int:
     l1 = float(l1_step_vs_fn(
         sx,
         sv,
-        lambda y: np.array([oracle_u(data, flux, float(v), t) for v in np.asarray(y)]),
+        lambda y: sample_oracle(data, flux, y, t),
         x_lo,
         x_hi,
         max_cell=(x_hi - x_lo) / 2000.0,

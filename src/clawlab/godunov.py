@@ -26,9 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .compare import observed_orders
+from .entropy import _as_pair, quadratic_pair
 from .errors import CFLError, FluxRangeError
 from .fluxes import ConvexFlux, inverse_derivative
-from .compare import observed_orders
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,12 @@ def interface_state(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
     data take the maximum, at whichever endpoint has the larger flux,
     with ties resolved to the left.
     """
+    return _interface_state(flux, u_left, u_right, _sonic_state(flux))
+
+
+def _interface_state(flux: ConvexFlux, u_left, u_right, u_s: float) -> np.ndarray:
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
-    u_s = _sonic_state(flux)
     rarefaction = np.clip(u_s, np.minimum(ul, ur), np.maximum(ul, ur))
     shock = np.where(
         np.asarray(flux.f(ur)) > np.asarray(flux.f(ul)), ur, ul
@@ -141,6 +145,10 @@ def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Gri
     """
     if dt is None:
         dt = cfl_dt(grid, flux)
+    return _step(grid, flux, dt, _sonic_state(flux))
+
+
+def _step(grid: Grid1D, flux: ConvexFlux, dt: float, u_s: float) -> Grid1D:
     limit = grid.dx / max(max_char_speed(flux, grid.u), 1e-300)
     if dt > grid.nu * limit * (1.0 + 1e-12):
         raise CFLError(
@@ -148,7 +156,7 @@ def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Gri
             f"(nu={grid.nu}, dx={grid.dx})"
         )
     padded = np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
-    F = interface_flux(flux, padded[:-1], padded[1:])
+    F = np.asarray(flux.f(_interface_state(flux, padded[:-1], padded[1:], u_s)))
     u_new = grid.u - (dt / grid.dx) * (F[1:] - F[:-1])
     return replace(grid, time=grid.time + dt, u=u_new)
 
@@ -188,23 +196,26 @@ def numerical_ep(grids, flux: ConvexFlux, pair=None) -> np.ndarray:
     outer interfaces (zero ghosts). Nonpositive for every Godunov step;
     for a lone entropic shock it approaches -D dt.
     """
-    from .entropy import quadratic_pair, _as_pair
-
     pair = quadratic_pair(flux) if pair is None else _as_pair(pair)
-    out = []
-    for before, after in zip(grids[:-1], grids[1:]):
-        dt = after.time - before.time
-        dx = before.dx
-        d_eta = np.sum(
-            np.asarray(pair.eta(after.u)) - np.asarray(pair.eta(before.u))
-        ) * dx
-        u_left_ghost = interface_state(flux, before.tail_left, before.u[0])
-        u_right_ghost = interface_state(flux, before.u[-1], before.tail_right)
-        boundary = float(np.asarray(pair.xi(u_right_ghost))) - float(
-            np.asarray(pair.xi(u_left_ghost))
-        )
-        out.append(float(d_eta) + dt * boundary)
-    return np.asarray(out)
+    u_s = _sonic_state(flux)
+    return np.asarray([
+        _step_ep(before, after, flux, pair, u_s)
+        for before, after in zip(grids[:-1], grids[1:])
+    ])
+
+
+def _step_ep(before: Grid1D, after: Grid1D, flux: ConvexFlux, pair, u_s: float) -> float:
+    dt = after.time - before.time
+    dx = before.dx
+    d_eta = np.sum(
+        np.asarray(pair.eta(after.u)) - np.asarray(pair.eta(before.u))
+    ) * dx
+    u_left_ghost = _interface_state(flux, before.tail_left, before.u[0], u_s)
+    u_right_ghost = _interface_state(flux, before.u[-1], before.tail_right, u_s)
+    boundary = float(np.asarray(pair.xi(u_right_ghost))) - float(
+        np.asarray(pair.xi(u_left_ghost))
+    )
+    return float(d_eta) + dt * boundary
 
 
 def run_godunov(
@@ -265,14 +276,17 @@ def run_godunov(
     while w_idx < len(wanted) and wanted[w_idx] <= 0.0:
         snaps.append(grid)
         w_idx += 1
+    # Per-run invariants: the grid's dx and nu never change, nor the flux.
+    dt_cfl = cfl_dt(grid, flux)
+    u_s = _sonic_state(flux)
+    pair = quadratic_pair(flux)
     while grid.time < t_end - 1e-14:
-        dt = cfl_dt(grid, flux)
         target = t_end
         if w_idx < len(wanted):
             target = min(target, wanted[w_idx])
-        dt = min(dt, target - grid.time)
-        new = godunov_step(grid, flux, dt)
-        eps.append(numerical_ep([grid, new], flux)[0])
+        dt = min(dt_cfl, target - grid.time)
+        new = _step(grid, flux, dt, u_s)
+        eps.append(_step_ep(grid, new, flux, pair, u_s))
         grid = new
         times.append(grid.time)
         drift = max(drift, abs(grid.mass - mass0 - net_influx * grid.time))

@@ -7,41 +7,52 @@ If g0 is a primitive of the initial data, the value function
 solves the Hamilton-Jacobi equation dg/dt + f(dg/dx) = 0 in the
 viscosity sense, and its space derivative is the entropy solution of
 the conservation law with data u0 = g0'. Evaluation needs only the
-convex conjugate and a one-dimensional minimization, so this module
-shares no machinery with front tracking and serves as an independent
-oracle for it.
+convex conjugate and the data, so this module shares no machinery with
+front tracking and serves as an independent oracle for it.
 
 For Lipschitz g0 with slopes in [-R, R], the minimizer y satisfies
 (x - y)/t in the characteristic speed range [f'(-R), f'(R)], which
-gives a finite search bracket. Pointwise values of oracle_u next to a
-shock are intermediate (the difference quotient straddles the jump);
-callers compare in L1, never pointwise at fronts.
+gives a finite bracket for y.
+
+For step data g0 is piecewise linear. On piece i, with slope u_i, the
+objective is linear plus the convex t fstar((x - y)/t), so it is convex
+there, and it is stationary at the characteristic foot y = x - t f'(u_i).
+Clipping that foot to the piece intersected with the bracket therefore
+gives the exact minimum over the piece, and g(x, t) is the least of the
+m + 1 piece candidates; its argmin is the minimizer. All points are
+evaluated at once as one (points x pieces) array. Nothing is sampled in
+y, so no piece is too narrow to be seen and there is no seed spacing or
+search tolerance to choose.
+
+oracle_u is the centred difference (g(x + h) - g(x - h)) / 2h. Next to
+a shock it is intermediate (the quotient straddles the jump), so callers
+compare pointwise only away from fronts, and otherwise in L1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import FluxRangeError
 from .fluxes import ConvexFlux, convex_conjugate
-from .quadrature import golden_min
-
-_SEED_POINTS = 201
-# The value sits at a kink of the objective when the backward foot lands
-# on a shock, so the achieved g error scales linearly with the y
-# tolerance; 1e-13 keeps central differences with h=1e-6 below 1e-6.
-_Y_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class PotentialData:
-    """Primitive of the initial data, anchored at g0(0) = 0."""
+    """Primitive of the initial data, anchored at g0(0) = 0.
+
+    breakpoints and values are the step data g0 integrates (values[i] is
+    the slope of g0 on the i-th piece). potential_from_step fills them
+    in; the oracle needs them.
+    """
 
     g0: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
+    breakpoints: np.ndarray | None = field(default=None, compare=False)
+    values: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lipschitz_bound < 0.0:
@@ -59,18 +70,19 @@ def potential_from_step(xs, us) -> PotentialData:
     us[i] is the value on (xs[i-1], xs[i]); the outer values extend as
     the tail slopes. Anchored so g0(0) = 0.
     """
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
+    xs = np.array(xs, dtype=float)
+    us = np.array(us, dtype=float)
     if us.size != xs.size + 1:
         raise FluxRangeError(
             f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
         )
     if xs.size and np.any(np.diff(xs) < 0.0):
         raise FluxRangeError("breakpoints must be non-decreasing")
+    bound = float(np.max(np.abs(us)))
     if xs.size == 0:
         c = float(us[0])
         return PotentialData(g0=lambda y: c * np.asarray(y, dtype=float),
-                             lipschitz_bound=abs(c))
+                             lipschitz_bound=bound, breakpoints=xs, values=us)
     # Values of the primitive at the breakpoints, then shift so g0(0)=0.
     knots = np.concatenate(([0.0], np.cumsum(us[1:-1] * np.diff(xs))))
     left_slope = float(us[0])
@@ -89,7 +101,7 @@ def potential_from_step(xs, us) -> PotentialData:
         out = g_raw(y) - shift
         return float(out) if np.ndim(y) == 0 else out
 
-    return PotentialData(g0=g0, lipschitz_bound=float(np.max(np.abs(us))))
+    return PotentialData(g0=g0, lipschitz_bound=bound, breakpoints=xs, values=us)
 
 
 def potential_from_state(state) -> PotentialData:
@@ -98,47 +110,41 @@ def potential_from_state(state) -> PotentialData:
     return potential_from_step(xs, us)
 
 
-def _bracket(flux: ConvexFlux, x: float, t: float) -> tuple[float, float]:
+def _minimize(
+    data: PotentialData, flux: ConvexFlux, x, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer y and value g(x, t) at every point of x."""
+    if t <= 0.0:
+        raise FluxRangeError(f"Hopf-Lax evaluation needs t > 0, got {t}")
+    if data.breakpoints is None or data.values is None:
+        raise FluxRangeError(
+            "the Hopf-Lax oracle needs step data; build it with potential_from_step"
+        )
+    xs, us = data.breakpoints, data.values
+    x = np.ravel(np.asarray(x, dtype=float))[:, None]
     R = flux.domain_radius
-    return (x - t * float(flux.df(R)), x - t * float(flux.df(-R)))
+    s_lo, s_hi = float(flux.df(-R)), float(flux.df(R))
+    # piece i is [xs[i-1], xs[i]], unbounded at both tails, cut to the bracket
+    lo = np.maximum(np.concatenate(([-np.inf], xs)), x - t * s_hi)
+    hi = np.minimum(np.concatenate((xs, [np.inf])), x - t * s_lo)
+    y = np.minimum(np.maximum(x - t * np.asarray(flux.df(us)), lo), hi)
+    # g0 is linear on each piece: anchor piece 0 at its right end, the rest
+    # at their left ends (no anchor but 0 for constant data)
+    anchors = np.concatenate((xs[:1], xs)) if xs.size else np.zeros(1)
+    p = np.clip((x - y) / t, s_lo, s_hi)
+    vals = data.g0(anchors) + us * (y - anchors) + t * convex_conjugate(flux, p)
+    vals[lo > hi] = np.inf
+    best = np.argmin(vals, axis=1)
+    rows = np.arange(x.shape[0])
+    return y[rows, best], vals[rows, best]
 
 
 def hopf_lax_minimizer(
     data: PotentialData, flux: ConvexFlux, x: float, t: float
 ) -> tuple[float, float]:
-    """Minimizing y and the value g(x, t).
-
-    Seeds with a 201-point grid over the characteristic bracket, then
-    refines every local dip by golden section to 1e-10 in y.
-    """
-    if t <= 0.0:
-        raise FluxRangeError(f"Hopf-Lax evaluation needs t > 0, got {t}")
-    y_lo, y_hi = _bracket(flux, x, t)
-    ys = np.linspace(y_lo, y_hi, _SEED_POINTS)
-    ps = (x - ys) / t
-    vals = np.asarray(data.g0(ys)) + t * convex_conjugate(flux, ps)
-
-    def objective(y: float) -> float:
-        return float(np.asarray(data.g0(y))) + t * float(
-            convex_conjugate(flux, (x - y) / t)
-        )
-
-    best_y = float(ys[int(np.argmin(vals))])
-    best_g = float(np.min(vals))
-    interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    dips = list(np.where(interior)[0] + 1)
-    if vals[0] < vals[1]:
-        dips.append(0)
-    if vals[-1] < vals[-2]:
-        dips.append(_SEED_POINTS - 1)
-    for i in dips:
-        lo = ys[max(i - 1, 0)]
-        hi = ys[min(i + 1, _SEED_POINTS - 1)]
-        y_star, g_star = golden_min(objective, float(lo), float(hi), tol=_Y_TOL)
-        if g_star < best_g:
-            best_g = g_star
-            best_y = y_star
-    return best_y, best_g
+    """Minimizing y and the value g(x, t)."""
+    y, g = _minimize(data, flux, x, t)
+    return float(y[0]), float(g[0])
 
 
 def hopf_lax_value(data: PotentialData, flux: ConvexFlux, x: float, t: float) -> float:
@@ -151,21 +157,22 @@ def oracle_u(
     """Central difference quotient of the potential: the solution value.
 
     Away from fronts this is the entropy solution to O(h / t); straddling
-    a front it returns an intermediate value, so it feeds only integral
-    comparisons.
+    a front it returns an intermediate value, so compare it pointwise
+    only away from fronts.
     """
-    if h <= 0.0:
-        raise FluxRangeError(f"difference step must be positive, got {h}")
-    g_plus = hopf_lax_value(data, flux, x + h, t)
-    g_minus = hopf_lax_value(data, flux, x - h, t)
-    return (g_plus - g_minus) / (2.0 * h)
+    return float(sample_oracle(data, flux, [x], t, h)[0])
 
 
 def sample_oracle(
     data: PotentialData, flux: ConvexFlux, xs, t: float, h: float = 1e-6
 ) -> np.ndarray:
-    return np.array([oracle_u(data, flux, float(x), t, h) for x in np.asarray(xs)])
+    """oracle_u at every point of xs, from one call for all 2n potentials."""
+    if h <= 0.0:
+        raise FluxRangeError(f"difference step must be positive, got {h}")
+    xs = np.ravel(np.asarray(xs, dtype=float))
+    g = _minimize(data, flux, np.concatenate((xs + h, xs - h)), t)[1]
+    return (g[: xs.size] - g[xs.size :]) / (2.0 * h)
 
 
 def sample_potential(data: PotentialData, flux: ConvexFlux, xs, t: float) -> np.ndarray:
-    return np.array([hopf_lax_value(data, flux, float(x), t) for x in np.asarray(xs)])
+    return _minimize(data, flux, xs, t)[1]

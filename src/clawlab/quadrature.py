@@ -1,10 +1,9 @@
-"""Small numerics kernel: quadrature, root finding, 1D minimization.
+"""Small numerics kernel: quadrature and root finding.
 
 Everything here is deliberately plain. The algorithms are pinned by the
 package's numeric contracts (adaptive Simpson with a hard interval cap,
-bisection bracketing followed by Newton or secant polish, grid-seeded
-golden-section search), so a general-purpose library would only hide the
-knobs the tests assert on.
+bisection bracketing followed by Newton or secant polish), so a
+general-purpose library would only hide the knobs the tests assert on.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class QuadratureError(Exception):
@@ -123,27 +120,6 @@ def bisect_then_polish(
     if abs(gx) <= polish_tol * 10.0:
         return x
     raise ValueError(f"root polish stalled at x={x}, g={gx}")
-
-
-def golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal fn on [lo, hi]; returns (x, fn(x))."""
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
 
 
 @lru_cache(maxsize=32)

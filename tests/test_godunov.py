@@ -22,6 +22,7 @@ from clawlab import (
     run_godunov,
     state_from_data,
 )
+from clawlab import make_flux
 from clawlab.errors import ConfigError, FluxRangeError
 from clawlab.scenarios import SCENARIOS
 
@@ -235,3 +236,35 @@ def test_scenario_registry():
     with pytest.raises(ConfigError) as exc:
         get_scenario("bogus")
     assert "single_shock" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name,xs,us,snaps",
+    [
+        ("poly4", [-0.8, -0.1, 0.6], [0.4, -1.2, 1.1, -0.3], (0.35,)),
+        ("cosh", [-0.5, 0.2, 0.9], [0.0, 0.9, -0.7, 0.0], ()),
+    ],
+)
+def test_run_matches_public_step_by_step(name, xs, us, snaps):
+    """run_godunov reuses the sonic state, entropy pair and CFL step across
+    steps; stepping with the public functions gives the same bits."""
+    fl = make_flux(name, domain_radius=1.5)
+    t_end = 0.8
+    run = run_godunov(fl, xs, us, t_end, 90, snapshot_times=snaps)
+    grid = run.grid0
+    mass0 = grid.mass
+    net = float(fl.f(us[0])) - float(fl.f(us[-1]))
+    times, eps, drift = [0.0], [], 0.0
+    targets = sorted(snaps) + [t_end]
+    while grid.time < t_end - 1e-14:
+        target = next(s for s in targets if s > grid.time + 1e-14)
+        new = godunov_step(grid, fl, min(cfl_dt(grid, fl), target - grid.time))
+        eps.append(numerical_ep([grid, new], fl)[0])
+        grid = new
+        times.append(grid.time)
+        drift = max(drift, abs(grid.mass - mass0 - net * grid.time))
+    assert np.array_equal(run.grid.u, grid.u)
+    assert np.array_equal(run.step_ep, np.asarray(eps))
+    assert np.array_equal(run.step_times, np.asarray(times))
+    assert run.mass_drift == drift
+    assert len(run.snapshots) == len(snaps)

@@ -18,6 +18,7 @@ from clawlab import (
     sample_potential,
     state_from_data,
 )
+from clawlab import convex_conjugate, make_flux
 from clawlab.errors import FluxRangeError
 
 
@@ -160,3 +161,116 @@ def test_potential_from_state_matches_step():
     ref = potential_from_step(xs, us)
     for y in np.linspace(-2.0, 3.0, 21):
         assert data.g0(float(y)) == pytest.approx(ref.g0(float(y)), abs=1e-14)
+
+
+CATALOG = ("burgers", "cosh", "poly4")
+
+
+def random_step_data(rng):
+    n = int(rng.integers(1, 7))
+    xs = np.sort(rng.uniform(-1.0, 1.0, size=n))
+    us = rng.uniform(-1.0, 1.0, size=n + 1)
+    return xs, us
+
+
+def objective(data, fl, x, t, y):
+    """The Hopf-Lax objective g0(y) + t f*((x - y) / t), evaluated directly."""
+    return np.asarray(data.g0(y)) + t * np.asarray(convex_conjugate(fl, (x - y) / t))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_value_matches_dense_brute_minimum(name):
+    """The grid y = x - t f'(v) over dense v in [-R, R] spans the bracket,
+    and there f*((x - y) / t) = v f'(v) - f(v) needs no inversion. The grid
+    minimum is at least the exact minimum and exceeds it by at most
+    Lip * gap / 2, where the objective's slope is bounded by |g0'| + R and
+    gap is the widest spacing of the y grid."""
+    fl = make_flux(name, domain_radius=1.5)
+    R = fl.domain_radius
+    v = np.linspace(-R, R, 20001)
+    rng = np.random.default_rng(211)
+    for _ in range(12):
+        xs, us = random_step_data(rng)
+        data = potential_from_step(xs, us)
+        t = float(rng.uniform(0.2, 1.5))
+        for x in rng.uniform(-2.5, 2.5, size=6):
+            x = float(x)
+            ys = x - t * fl.df(v)
+            brute = float(np.min(data.g0(ys) + t * (v * fl.df(v) - fl.f(v))))
+            slack = (data.lipschitz_bound + R) * 0.5 * float(np.max(-np.diff(ys)))
+            got = hopf_lax_value(data, fl, x, t)
+            assert got <= brute + 1e-12
+            assert brute - got <= slack + 1e-12
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_minimizer_attains_value(name):
+    fl = make_flux(name, domain_radius=1.5)
+    R = fl.domain_radius
+    rng = np.random.default_rng(223)
+    for _ in range(20):
+        xs, us = random_step_data(rng)
+        data = potential_from_step(xs, us)
+        t = float(rng.uniform(0.2, 1.5))
+        for x in rng.uniform(-2.5, 2.5, size=5):
+            y, g = hopf_lax_minimizer(data, fl, float(x), t)
+            assert x - t * float(fl.df(R)) <= y <= x - t * float(fl.df(-R))
+            assert float(objective(data, fl, float(x), t, y)) == pytest.approx(
+                g, abs=1e-13
+            )
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_sampling_matches_scalars_for_every_flux(name):
+    fl = make_flux(name, domain_radius=1.5)
+    rng = np.random.default_rng(227)
+    for _ in range(6):
+        xs, us = random_step_data(rng)
+        data = potential_from_step(xs, us)
+        t = float(rng.uniform(0.2, 1.5))
+        pts = rng.uniform(-2.5, 2.5, size=17)
+        g = sample_potential(data, fl, pts, t)
+        u = sample_oracle(data, fl, pts, t)
+        for i, x in enumerate(pts):
+            assert g[i] == hopf_lax_value(data, fl, float(x), t)
+            assert u[i] == oracle_u(data, fl, float(x), t)
+
+
+def test_oracle_needs_step_data():
+    data = PotentialData(g0=lambda y: 0.5 * np.asarray(y), lipschitz_bound=0.5)
+    with pytest.raises(FluxRangeError):
+        hopf_lax_value(data, burgers_flux(), 0.0, 1.0)
+
+
+# Random step data with a piece narrower than 1% of the characteristic
+# bracket, on which a search seeded on a 201-point y grid put a shock
+# 0.01-0.02 off (largest pointwise gap to front tracking 0.030 and 0.020).
+NARROW_PIECES = (
+    ("cosh",
+     [-0.6660756804942891, 0.6757755221728177, 0.684987471379187],
+     [0.0, -0.5180930402164101, 0.08635880993395917, 0.0]),
+    ("burgers",
+     [-0.964011597972056, 0.43409254069861203, 0.43590704009631054],
+     [0.0, -0.504439716184691, 0.5694601804493704, 0.0]),
+)
+
+
+@pytest.mark.parametrize("name,xs,us", NARROW_PIECES, ids=["cosh", "burgers"])
+def test_narrow_piece_agrees_with_front_tracking_pointwise(name, xs, us):
+    """Away from fronts the staircase is within delta_u of the fan, so the
+    oracle and front tracking agree to delta_u plus the difference error."""
+    fl = make_flux(name, domain_radius=1.5)
+    delta_u, t, h = 0.2 / 64, 1.0, 1e-6
+    traj = evolve(state_from_data(fl, xs, us), fl, t, rarefaction_step=delta_u)
+    fx, fv = traj.state_at(t).to_step()
+    band = np.linspace(-1.5, 1.5, 257)
+    ddf_max = float(np.max(np.diff(fl.df(band)) / np.diff(band)))
+    # a shock moves by at most max f'' * delta_u * t when its states move
+    # by delta_u; points that close to it, or within 2h, are not compared
+    shocks = fx[np.abs(np.diff(fv)) > delta_u * (1.0 + 1e-9)]
+    margin = delta_u * ddf_max * t + 2.0 * h
+    pts = np.linspace(-2.0, 2.0, 801)
+    pts = pts[np.all(np.abs(pts[:, None] - shocks[None, :]) > margin, axis=1)]
+    u_hl = sample_oracle(potential_from_step(xs, us), fl, pts, t, h)
+    gap = np.abs(traj.state_at(t).value_at(pts) - u_hl)
+    assert float(np.max(gap)) <= delta_u + 1e-5
