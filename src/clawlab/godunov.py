@@ -18,6 +18,11 @@ and ghost cells hold the constant tail states of the data, so the
 boundary cells never activate: for compact data mass telescopes
 exactly, and for unequal tails the mass grows by exactly the net flux
 f(tail_left) - f(tail_right) per unit time.
+
+The step is cfl_dt, which bounds the speed over the whole band [-R, R]
+on purpose: a step from the data's hull raises the effective Courant
+number of a lone shock and changes every number. Every step still
+checks the CFL bound against the cells' own hull.
 """
 
 from __future__ import annotations
@@ -81,8 +86,7 @@ class Grid1D:
 
     def to_step(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell averages as a step function extended by the tails."""
-        vals = np.concatenate(([self.tail_left], self.u, [self.tail_right]))
-        return self.edges, vals
+        return self.edges, _padded(self)
 
 
 def _sonic_state(flux: ConvexFlux) -> float:
@@ -104,16 +108,17 @@ def interface_state(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
     data take the maximum, at whichever endpoint has the larger flux,
     with ties resolved to the left.
     """
-    return _interface_state(flux, u_left, u_right, _sonic_state(flux))
-
-
-def _interface_state(flux: ConvexFlux, u_left, u_right, u_s: float) -> np.ndarray:
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
-    rarefaction = np.clip(u_s, np.minimum(ul, ur), np.maximum(ul, ur))
-    shock = np.where(
-        np.asarray(flux.f(ur)) > np.asarray(flux.f(ul)), ur, ul
+    return _interface_states(
+        ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), _sonic_state(flux)
     )
+
+
+def _interface_states(ul, ur, f_left, f_right, u_s: float) -> np.ndarray:
+    """The rule of interface_state, given f on both sides of each interface."""
+    rarefaction = np.minimum(np.maximum(u_s, ul), ur)
+    shock = np.where(f_right > f_left, ur, ul)
     return np.where(ul <= ur, rarefaction, shock)
 
 
@@ -124,8 +129,8 @@ def interface_flux(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
 def max_char_speed(flux: ConvexFlux, u) -> float:
     """Largest |f'| over the closed hull of the given states."""
     u = np.asarray(u, dtype=float)
-    lo = float(np.min(u))
-    hi = float(np.max(u))
+    lo = float(u.min())
+    hi = float(u.max())
     return max(abs(float(flux.df(lo))), abs(float(flux.df(hi))))
 
 
@@ -145,20 +150,35 @@ def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Gri
     """
     if dt is None:
         dt = cfl_dt(grid, flux)
-    return _step(grid, flux, dt, _sonic_state(flux))
+    padded = _padded(grid)
+    _update(padded, dt, grid.dx, grid.nu, flux, _sonic_state(flux))
+    return replace(grid, time=grid.time + dt, u=padded[1:-1])
 
 
-def _step(grid: Grid1D, flux: ConvexFlux, dt: float, u_s: float) -> Grid1D:
-    limit = grid.dx / max(max_char_speed(flux, grid.u), 1e-300)
-    if dt > grid.nu * limit * (1.0 + 1e-12):
+def _padded(grid: Grid1D) -> np.ndarray:
+    return np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
+
+
+def _update(
+    padded: np.ndarray, dt: float, dx: float, nu: float, flux: ConvexFlux, u_s: float
+) -> np.ndarray:
+    """The step kernel: advance the cells padded[1:-1] by dt in place.
+
+    The ends of padded hold the tails and are left alone. Returns the
+    n + 1 interface states; the first and last are the ghost states of
+    the boundary entropy flux.
+    """
+    u = padded[1:-1]
+    limit = dx / max(max_char_speed(flux, u), 1e-300)
+    if dt > nu * limit * (1.0 + 1e-12):
         raise CFLError(
-            f"dt={dt} exceeds the CFL bound {grid.nu * limit} "
-            f"(nu={grid.nu}, dx={grid.dx})"
+            f"dt={dt} exceeds the CFL bound {nu * limit} (nu={nu}, dx={dx})"
         )
-    padded = np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
-    F = np.asarray(flux.f(_interface_state(flux, padded[:-1], padded[1:], u_s)))
-    u_new = grid.u - (dt / grid.dx) * (F[1:] - F[:-1])
-    return replace(grid, time=grid.time + dt, u=u_new)
+    f_cells = np.asarray(flux.f(padded))
+    states = _interface_states(padded[:-1], padded[1:], f_cells[:-1], f_cells[1:], u_s)
+    F = np.asarray(flux.f(states))
+    u -= (dt / dx) * (F[1:] - F[:-1])
+    return states
 
 
 def cell_averages_from_step(xs, us, edges: np.ndarray) -> np.ndarray:
@@ -198,23 +218,33 @@ def numerical_ep(grids, flux: ConvexFlux, pair=None) -> np.ndarray:
     """
     pair = quadratic_pair(flux) if pair is None else _as_pair(pair)
     u_s = _sonic_state(flux)
-    return np.asarray([
-        _step_ep(before, after, flux, pair, u_s)
-        for before, after in zip(grids[:-1], grids[1:])
-    ])
+    eps = []
+    for before, after in zip(grids[:-1], grids[1:]):
+        # the outer interfaces (tail_left, u[0]) and (u[-1], tail_right)
+        ul = np.array([before.tail_left, before.u[-1]])
+        ur = np.array([before.u[0], before.tail_right])
+        ghosts = _interface_states(
+            ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), u_s
+        )
+        eps.append(_step_ep(
+            np.asarray(pair.eta(before.u)),
+            np.asarray(pair.eta(after.u)),
+            before.dx,
+            after.time - before.time,
+            pair.xi,
+            ghosts,
+        ))
+    return np.asarray(eps)
 
 
-def _step_ep(before: Grid1D, after: Grid1D, flux: ConvexFlux, pair, u_s: float) -> float:
-    dt = after.time - before.time
-    dx = before.dx
-    d_eta = np.sum(
-        np.asarray(pair.eta(after.u)) - np.asarray(pair.eta(before.u))
-    ) * dx
-    u_left_ghost = _interface_state(flux, before.tail_left, before.u[0], u_s)
-    u_right_ghost = _interface_state(flux, before.u[-1], before.tail_right, u_s)
-    boundary = float(np.asarray(pair.xi(u_right_ghost))) - float(
-        np.asarray(pair.xi(u_left_ghost))
-    )
+def _step_ep(eta_before, eta_after, dx: float, dt: float, xi, states) -> float:
+    """Discrete entropy production of one step.
+
+    states holds the interface states of the step; only its first and
+    last entries, the ghost states, enter the boundary entropy flux.
+    """
+    d_eta = (eta_after - eta_before).sum() * dx
+    boundary = float(np.asarray(xi(states[-1]))) - float(np.asarray(xi(states[0])))
     return float(d_eta) + dt * boundary
 
 
@@ -277,22 +307,34 @@ def run_godunov(
         snaps.append(grid)
         w_idx += 1
     # Per-run invariants: the grid's dx and nu never change, nor the flux.
+    dx = grid.dx
     dt_cfl = cfl_dt(grid, flux)
     u_s = _sonic_state(flux)
     pair = quadratic_pair(flux)
-    while grid.time < t_end - 1e-14:
+    # The cells live in padded[1:-1] and are stepped in place; eta of the
+    # current cells carries over from the previous step.
+    padded = _padded(grid)
+    u = padded[1:-1]
+    eta_u = np.asarray(pair.eta(u))
+    time = 0.0
+    while time < t_end - 1e-14:
         target = t_end
         if w_idx < len(wanted):
             target = min(target, wanted[w_idx])
-        dt = min(dt_cfl, target - grid.time)
-        new = _step(grid, flux, dt, u_s)
-        eps.append(_step_ep(grid, new, flux, pair, u_s))
-        grid = new
-        times.append(grid.time)
-        drift = max(drift, abs(grid.mass - mass0 - net_influx * grid.time))
-        while w_idx < len(wanted) and grid.time >= wanted[w_idx] - 1e-14:
-            snaps.append(grid)
+        dt = min(dt_cfl, target - time)
+        states = _update(padded, dt, dx, nu, flux, u_s)
+        eta_new = np.asarray(pair.eta(u))
+        t_new = time + dt
+        eps.append(_step_ep(eta_u, eta_new, dx, t_new - time, pair.xi, states))
+        eta_u = eta_new
+        time = t_new
+        times.append(time)
+        drift = max(drift, abs(float(u.sum()) * dx - mass0 - net_influx * time))
+        while w_idx < len(wanted) and time >= wanted[w_idx] - 1e-14:
+            snaps.append(replace(grid0, time=time, u=u.copy()))
             w_idx += 1
+    if eps:
+        grid = replace(grid0, time=time, u=u.copy())
     return GodunovRun(
         flux_name=flux.name,
         grid0=grid0,

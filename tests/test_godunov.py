@@ -1,5 +1,7 @@
 """Finite-volume oracle: interface rule, conservation, entropy stability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from clawlab import (
     state_from_data,
 )
 from clawlab import make_flux
+from clawlab.entropy import quadratic_pair
 from clawlab.errors import ConfigError, FluxRangeError
+from clawlab.fluxes import inverse_derivative
 from clawlab.scenarios import SCENARIOS
 
 
@@ -268,3 +272,82 @@ def test_run_matches_public_step_by_step(name, xs, us, snaps):
     assert np.array_equal(run.step_times, np.asarray(times))
     assert run.mass_drift == drift
     assert len(run.snapshots) == len(snaps)
+
+
+# A literal copy of the grid-per-step loop that run_godunov replaced: a
+# Grid1D per step, f evaluated on both sides of every interface, scalar
+# ghost states and the step EP from the two grids. It shares no code with
+# the step kernel, so the kernel is checked against separate code.
+
+
+def ref_interface_state(flux, u_left, u_right, u_s):
+    ul = np.asarray(u_left, dtype=float)
+    ur = np.asarray(u_right, dtype=float)
+    rarefaction = np.clip(u_s, np.minimum(ul, ur), np.maximum(ul, ur))
+    shock = np.where(
+        np.asarray(flux.f(ur)) > np.asarray(flux.f(ul)), ur, ul
+    )
+    return np.where(ul <= ur, rarefaction, shock)
+
+
+def ref_step(grid, flux, dt, u_s):
+    padded = np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
+    F = np.asarray(flux.f(ref_interface_state(flux, padded[:-1], padded[1:], u_s)))
+    u_new = grid.u - (dt / grid.dx) * (F[1:] - F[:-1])
+    return replace(grid, time=grid.time + dt, u=u_new)
+
+
+def ref_step_ep(before, after, flux, pair, u_s):
+    dt = after.time - before.time
+    dx = before.dx
+    d_eta = np.sum(
+        np.asarray(pair.eta(after.u)) - np.asarray(pair.eta(before.u))
+    ) * dx
+    u_left_ghost = ref_interface_state(flux, before.tail_left, before.u[0], u_s)
+    u_right_ghost = ref_interface_state(flux, before.u[-1], before.tail_right, u_s)
+    boundary = float(np.asarray(pair.xi(u_right_ghost))) - float(
+        np.asarray(pair.xi(u_left_ghost))
+    )
+    return float(d_eta) + dt * boundary
+
+
+@pytest.mark.parametrize("name", ["burgers", "cosh", "poly4"])
+@pytest.mark.parametrize(
+    "xs,us",
+    [
+        ([-0.6, 0.1, 0.7, 0.9], [0.0, 1.1, -0.8, 0.4, 0.0]),
+        ([-0.5, 0.3], [0.9, -0.6, -0.4]),
+    ],
+    ids=["equal_tails", "unequal_tails"],
+)
+@pytest.mark.parametrize("snaps", [(), (0.2, 0.55)], ids=["final", "snapshots"])
+def test_run_matches_grid_per_step_reference(name, xs, us, snaps):
+    fl = make_flux(name, domain_radius=1.5)
+    t_end = 0.8
+    run = run_godunov(fl, xs, us, t_end, 110, snapshot_times=snaps)
+    u_s = float(inverse_derivative(fl, 0.0))
+    pair = quadratic_pair(fl)
+    grid = run.grid0
+    mass0 = grid.mass
+    net = float(fl.f(us[0])) - float(fl.f(us[-1]))
+    dt_cfl = cfl_dt(grid, fl)
+    times, eps, drift, ref_snaps = [0.0], [], 0.0, []
+    targets = sorted(snaps) + [t_end]
+    while grid.time < t_end - 1e-14:
+        target = next(s for s in targets if s > grid.time + 1e-14)
+        new = ref_step(grid, fl, min(dt_cfl, target - grid.time), u_s)
+        eps.append(ref_step_ep(grid, new, fl, pair, u_s))
+        grid = new
+        times.append(grid.time)
+        drift = max(drift, abs(grid.mass - mass0 - net * grid.time))
+        if any(abs(grid.time - s) <= 1e-14 for s in snaps):
+            ref_snaps.append(grid)
+    assert np.array_equal(run.grid.u, grid.u)
+    assert run.grid.time == grid.time
+    assert np.array_equal(run.step_ep, np.asarray(eps))
+    assert np.array_equal(run.step_times, np.asarray(times))
+    assert run.mass_drift == drift
+    assert len(run.snapshots) == len(snaps) == len(ref_snaps)
+    for got, want in zip(run.snapshots, ref_snaps):
+        assert got.time == want.time
+        assert np.array_equal(got.u, want.u)
