@@ -23,7 +23,6 @@ from .entropy import (
     delta_density_chord,
     entropy_rate_Hdot,
     fan_ep_rate,
-    fan_signed_ep_rate,
     jump_abs_ep_rate_kinetic,
     jump_ep_rate,
     jump_ep_rate_kinetic,

@@ -283,17 +283,6 @@ def fan_ep_rate(fan: WaveFan) -> float:
     )
 
 
-def fan_signed_ep_rate(fan: WaveFan) -> float:
-    """Signed counterpart of fan_ep_rate (positive = entropic dissipation)."""
-    return float(
-        sum(
-            jump_ep_rate(fan.flux, w.u_minus, w.u_plus)
-            for w in fan.waves
-            if isinstance(w, Shock)
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # level sampling helpers
 
@@ -543,12 +532,7 @@ def _clipped_lifetimes(traj, window):
             yield fid, um, up, sigma, lo, hi
 
 
-def total_ep(
-    traj,
-    window: Window,
-    mode: str = "abs",
-    use_chord_delta: bool = False,
-) -> EntropyLedger:
+def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
     """Entropy production ledger of a tracked trajectory over a window.
 
     Clips every front lifetime to the window (rectangle or trapezoid) and
@@ -560,10 +544,9 @@ def total_ep(
         raise FluxRangeError(f"ledger mode must be 'abs' or 'signed', got {mode!r}")
     flux = traj.flux
     ledger = EntropyLedger(window=window, mode=mode)
-    density = delta_density_chord if use_chord_delta else delta_density
     for fid, um, up, sigma, lo, hi in _clipped_lifetimes(traj, window):
         rate = jump_ep_rate(flux, um, up)
-        delta = density(flux, um, up)
+        delta = delta_density(flux, um, up)
         ledger.rows.append(LedgerRow(fid, lo, hi, um, up, sigma, rate, abs(rate), delta))
         ledger.total_signed += rate * (hi - lo)
         ledger.total_abs += abs(rate) * (hi - lo)

@@ -18,8 +18,9 @@ with psi = X(x) T(t) separable,
 where XA is the antiderivative of X and [.]_j right-minus-left jumps.
 Each front moves affinely over its lifetime (Trajectory.lifetimes), so
 only Gauss panels in t remain and residuals of exact weak solutions sit
-at quadrature noise (< 1e-9). Fans are integrated by panelled 2D Gauss
-quadrature split at the wave supports.
+at quadrature noise (< 1e-9). A fan is the same sum over fronts born at
+the origin, one per wave; only rarefaction interiors add a remainder,
+integrated in omega = x / t.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import leggauss
-from .riemann import WaveFan, evaluate_fan, fan_breakpoints
+from .fronts import Lifetimes
+from .riemann import Rarefaction, WaveFan, evaluate_fan, fan_breakpoints
 
 # Tabulated antiderivative of the standard bump B(s) = exp(1 - 1/(1 - s^2)).
 _GRID = np.linspace(-1.0, 1.0, 160001)
@@ -156,10 +158,10 @@ def default_battery_for(traj) -> list[BumpTest]:
 
 def trajectory_weak_residual(traj, psi: BumpTest, n_gauss: int = 14) -> float:
     """Residual of a tracked trajectory against one bump."""
-    return _lifetime_residual(traj, traj.lifetimes(), psi, n_gauss)
+    return _front_sum(traj.flux, traj.t_start, traj.lifetimes(), psi, n_gauss)
 
 
-def _lifetime_residual(traj, rows, psi: BumpTest, n_gauss: int = 14) -> float:
+def _front_sum(flux, t0, rows, psi: BumpTest, n_gauss: int = 14) -> float:
     """One Gauss sum over front lifetimes x time panels x nodes.
 
     psi's time support is cut into at least four panels, none wider than
@@ -167,7 +169,6 @@ def _lifetime_residual(traj, rows, psi: BumpTest, n_gauss: int = 14) -> float:
     """
     nodes, weights = leggauss(n_gauss)
     t_lo_psi, t_hi_psi = psi.t_support
-    t0 = traj.t_start
     jumps_u = rows.u_plus - rows.u_minus
     lo = max(t_lo_psi, t0)
     total = 0.0
@@ -181,7 +182,7 @@ def _lifetime_residual(traj, rows, psi: BumpTest, n_gauss: int = 14) -> float:
         half = 0.5 * (b - a)
         ts = (0.5 * (a + b))[:, None] + half[:, None] * nodes[None, :]
         xs = rows.x_birth[r, None] + rows.sigma[r, None] * (ts - rows.t_birth[r, None])
-        f = traj.flux.f
+        f = flux.f
         jumps_f = np.asarray(f(rows.u_plus)) - np.asarray(f(rows.u_minus))
         term_t = psi.dt_part(ts) * jumps_u[r, None] * psi.x_anti(xs)
         term_x = psi.t_part(ts) * jumps_f[r, None] * psi.x_part(xs)
@@ -199,62 +200,60 @@ def trajectory_max_residual(traj, battery=None) -> float:
     if battery is None:
         battery = default_battery_for(traj)
     rows = traj.lifetimes()
-    return max(abs(_lifetime_residual(traj, rows, psi)) for psi in battery)
+    return max(abs(_front_sum(traj.flux, traj.t_start, rows, psi)) for psi in battery)
+
+
+def _gauss_nodes(lo: float, hi: float, n_panels: int, n_gauss: int):
+    """Nodes and weights of n_panels equal Gauss panels on [lo, hi]."""
+    nodes, weights = leggauss(n_gauss)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (
+        ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * nodes).ravel(),
+        (half * weights).ravel(),
+    )
 
 
 def fan_weak_residual(
     fan: WaveFan, psi: BumpTest, t_max: float, n_gauss: int = 14
 ) -> float:
-    """Residual of a self-similar fan on the strip (0, t_max]."""
-    flux = fan.flux
-    nodes, weights = leggauss(n_gauss)
-    speeds = fan_breakpoints(fan)
-    x_lo_psi, x_hi_psi = psi.x_support
-    t_lo_psi, t_hi_psi = psi.t_support
+    """Residual of a self-similar fan on the strip (0, t_max].
 
-    def space_integral(t: float) -> float:
-        cuts = sorted({x_lo_psi, x_hi_psi, *[s * t for s in speeds]})
-        cuts = [c for c in cuts if x_lo_psi <= c <= x_hi_psi]
-        if cuts[0] > x_lo_psi:
-            cuts.insert(0, x_lo_psi)
-        if cuts[-1] < x_hi_psi:
-            cuts.append(x_hi_psi)
-        all_edges: list[np.ndarray] = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            n_sub = max(2, int(np.ceil((b - a) / (psi.ax / 6.0))))
-            all_edges.append(np.linspace(a, b, n_sub + 1))
-        if not all_edges:
-            return 0.0
-        mids = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in all_edges])
-        halves = np.concatenate([0.5 * np.diff(e) for e in all_edges])
-        xs = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        v = np.asarray(evaluate_fan(fan, xs / t), dtype=float)
-        integrand = v * psi.dt(xs, t) + np.asarray(flux.f(v), dtype=float) * psi.dx(
-            xs, t
-        )
-        per_panel = integrand.reshape(len(mids), len(nodes)) @ weights
-        return float(np.dot(halves, per_panel))
-
-    lo = max(1e-12, t_lo_psi)
-    hi = min(t_max, t_hi_psi)
-    total = 0.0
-    if hi > lo:
-        n_panels = max(6, int(np.ceil((hi - lo) / (psi.bt / 14.0))))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            ts = mid + half * nodes
-            vals = np.array([space_integral(float(t)) for t in ts])
-            total += half * float(np.dot(weights, vals))
-    # initial data: u_l for x < 0, u_r for x > 0
-    if t_lo_psi < 0.0 < t_hi_psi:
-        w0 = float(psi.t_part(0.0))
-        anti = psi.x_anti(np.array([0.0]))[0]
-        full = psi.x_anti(np.array([x_hi_psi + 1.0]))[0]
-        total += w0 * (fan.left_state * anti + fan.right_state * (full - anti))
+    Each wave is a front born at the origin at its stored lower speed, so
+    the front sum is exact on every constant sector. Inside a rarefaction
+    the profile differs from that front's right state; the remainder is
+    integrated in omega = x / t on fixed Gauss nodes.
+    """
+    n = len(fan.waves)
+    rows = Lifetimes(
+        front_id=np.arange(n),
+        t_birth=np.zeros(n),
+        t_death=np.full(n, float(t_max)),
+        x_birth=np.zeros(n),
+        sigma=np.array([w.support[0] for w in fan.waves], dtype=float),
+        u_minus=np.array([w.left_value for w in fan.waves], dtype=float),
+        u_plus=np.array([w.right_value for w in fan.waves], dtype=float),
+    )
+    total = _front_sum(fan.flux, 0.0, rows, psi, n_gauss)
+    lo, hi = max(psi.t_support[0], 0.0), min(psi.t_support[1], t_max)
+    if hi <= lo:
+        return total
+    n_t = max(4, int(np.ceil((hi - lo) / (psi.bt / 12.0))))
+    ts, w_t = _gauss_nodes(lo, hi, n_t, n_gauss)
+    ts = ts[:, None]
+    for w in fan.waves:
+        if not isinstance(w, Rarefaction):
+            continue
+        n_om = max(2, int(np.ceil((w.omega_hi - w.omega_lo) * hi / (psi.ax / 6.0))))
+        om, w_om = _gauss_nodes(w.omega_lo, w.omega_hi, n_om, n_gauss)
+        u = np.asarray(evaluate_fan(fan, om), dtype=float)
+        du = u - w.u_hi
+        df = np.asarray(fan.flux.f(u), dtype=float) - float(fan.flux.f(w.u_hi))
+        # (u - u_hi, f(u) - f(u_hi)) against (psi_t, psi_x) at x = omega t,
+        # where dx = t d(omega)
+        xs = om * ts
+        integrand = ts * (psi.dt(xs, ts) * du + psi.dx(xs, ts) * df)
+        total += float(w_t @ integrand @ w_om)
     return total
 
 

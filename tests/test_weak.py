@@ -10,6 +10,7 @@ from clawlab import (
     evolve,
     fan_max_residual,
     get_scenario,
+    poly4_flux,
     random_family_member,
     solve_riemann,
     state_from_data,
@@ -18,6 +19,7 @@ from clawlab import (
     trajectory_weak_residual,
 )
 from clawlab.fronts import FrontState, Trajectory
+from clawlab.riemann import Rarefaction, Shock, WaveFan
 
 WEAK_TOL = 1e-7
 
@@ -85,12 +87,34 @@ def test_wrong_speed_front_fails_the_battery():
 
 def test_fan_residuals_entropic_and_competitors():
     rng = np.random.default_rng(13)
-    for flux in (burgers_flux(2.0), cosh_flux(2.0)):
+    for flux in (burgers_flux(2.0), cosh_flux(2.0), poly4_flux(2.0)):
         assert fan_max_residual(solve_riemann(flux, 1.0, -0.5)) <= WEAK_TOL
         assert fan_max_residual(solve_riemann(flux, -0.5, 1.0)) <= WEAK_TOL
         for _ in range(3):
             fan = random_family_member(rng, flux, -0.8, 1.0)
             assert fan_max_residual(fan) <= WEAK_TOL
+    # sonic rarefaction: its support straddles omega = 0
+    sonic = solve_riemann(poly4_flux(2.0), -1.9, 1.9)
+    assert fan_max_residual(sonic) <= WEAK_TOL
+
+
+def test_broken_fans_fail_the_battery():
+    # built directly, so validate_fan never sees them
+    fl = burgers_flux(2.0)
+    broken = (
+        # shock (1, -0.5) moving 0.1 faster than its chord slope 0.25
+        WaveFan(fl, 1.0, -0.5, (Shock(1.0, -0.5, 0.35),), "entropic"),
+        # expansion shock (-0.5, 1) at 0.30 instead of 0.25
+        WaveFan(fl, -0.5, 1.0, (Shock(-0.5, 1.0, 0.30),), "non-entropic"),
+        # rarefaction (-0.5, 1) stretched over (-0.4, 1.1) instead of (-0.5, 1)
+        WaveFan(fl, -0.5, 1.0, (Rarefaction(-0.5, 1.0, -0.4, 1.1),), "entropic"),
+    )
+    for fan in broken:
+        speeds = [s for w in fan.waves for s in w.support]
+        lo, hi = min(speeds), max(speeds)
+        pad = max(1.0, 0.3 * (hi - lo))
+        battery = bump_battery(lo - pad, hi + pad, 0.0, 1.0)
+        assert fan_max_residual(fan, 1.0, battery) > 1e-3
 
 
 def test_single_bump_residual_is_signed_zero_not_cancellation():
