@@ -43,6 +43,7 @@ from .errors import (
     FanOrderingError,
     FluxRangeError,
     InvariantViolation,
+    QuadratureError,
     TangencyError,
     UnsupportedFamilyError,
 )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import FluxRangeError
 from .fluxes import ConvexFlux, chord_slope, chord_slopes
-from .quadrature import QuadratureError, leggauss
+from .quadrature import gauss_panels
 from .riemann import Shock, WaveFan
 
 ArrayLike = float | np.ndarray
@@ -90,31 +90,20 @@ def jump_ep_rate(flux: ConvexFlux, u_minus: float, u_plus: float) -> float:
 def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
     """Signed (row 0) and absolute (row 1) a-integrals of kinetic_density per jump.
 
-    10-point Gauss-Legendre on 2**j equal panels of every jump interval at
-    once; j grows only for the jumps whose absolute integral still moves by
-    more than tol, and QuadratureError is raised past 2**12 panels. Uses f
-    and the chord speed only, never the antiderivative F.
+    All jump intervals go through quadrature.gauss_panels at once with
+    absolute tolerance tol. Uses f and the chord speed only, never the
+    antiderivative F.
     """
     um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
-    out, prev = np.zeros((2, um.size)), np.full(um.size, np.inf)
-    rows = np.flatnonzero(um != up)
+    jumps = um != up
     sigma = np.zeros(um.size)
-    sigma[rows] = chord_slopes(flux, um[rows], up[rows])
-    lo, half = np.minimum(um, up)[:, None, None], 0.5 * np.abs(um - up)[:, None, None]
-    nodes, weights = leggauss(10)
-    panels = 1
-    while rows.size:
-        if panels > 2**12:
-            raise QuadratureError(f"level quadrature of {rows.size} jumps unsettled")
-        h = half[rows] / panels
-        a = lo[rows] + h * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)
+    sigma[jumps] = chord_slopes(flux, um[jumps], up[jumps])
+
+    def density(a, rows):
         lm, lp = np.minimum(um[rows, None, None], a), np.minimum(up[rows, None, None], a)
-        k = h * weights * ((flux.f(lp) - flux.f(lm)) - sigma[rows, None, None] * (lp - lm))
-        out[:, rows] = np.sum(k, axis=(1, 2)), np.sum(np.abs(k), axis=(1, 2))
-        moved = np.abs(out[1, rows] - prev[rows]) > tol
-        prev[rows] = out[1, rows]
-        rows, panels = rows[moved], 2 * panels
-    return out
+        return (flux.f(lp) - flux.f(lm)) - sigma[rows, None, None] * (lp - lm)
+
+    return gauss_panels(density, np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0)
 
 
 def jump_ep_rate_kinetic(

@@ -36,6 +36,10 @@ class EventCascadeError(ClawError, RuntimeError):
     """Too many simultaneous collisions at a single point."""
 
 
+class QuadratureError(ClawError, ArithmeticError):
+    """Quadrature did not settle within its panel cap."""
+
+
 class InvariantViolation(ClawError, AssertionError):
     """A runtime solution invariant failed beyond tolerance."""
 

@@ -256,9 +256,11 @@ def front_state(
         )
     if np.any(np.diff(pos) < 0.0):
         raise InvariantViolation(f"front positions must be non-decreasing: {pos}")
-    if np.any(np.abs(vals) > flux.domain_radius + 1e-12):
+    inside = np.abs(vals) <= flux.domain_radius + 1e-12
+    if not inside.all():
         raise FluxRangeError(
-            f"states exceed the band [-{flux.domain_radius}, {flux.domain_radius}]"
+            f"state {float(vals[np.argmin(inside)])} outside the band "
+            f"[-{flux.domain_radius}, {flux.domain_radius}]"
         )
     flat = np.flatnonzero(vals[:-1] == vals[1:])
     if flat.size:

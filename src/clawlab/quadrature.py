@@ -1,9 +1,9 @@
-"""Small numerics kernel: quadrature and root finding.
+"""Small numerics kernel: one integrator and one root finder.
 
-Everything here is deliberately plain. The algorithms are pinned by the
-package's numeric contracts (adaptive Simpson with a hard interval cap,
-bisection bracketing followed by Newton or secant polish), so a
-general-purpose library would only hide the knobs the tests assert on.
+Every adaptive integral and every root solve in the package goes through
+these two: gauss_panels, composite 10-point Gauss-Legendre on many
+intervals at once, and vector_bisect_newton, elementwise bisection with a
+Newton or secant polish. Both are plain on purpose: tests pin their bits.
 """
 
 from __future__ import annotations
@@ -13,113 +13,11 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import QuadratureError
 
-class QuadratureError(Exception):
-    """Adaptive quadrature failed to reach tolerance within the interval cap."""
-
-
-def adaptive_simpson(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 20,
-) -> float:
-    """Integrate fn over [a, b] by adaptive Simpson subdivision.
-
-    max_depth = 20 caps the refinement at 2**20 leaf intervals. Raises
-    QuadratureError if an interval still disagrees at the cap.
-    """
-    if a == b:
-        return 0.0
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = fn(lm)
-        frm = fn(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0:
-            if abs(left + right - whole) > 15.0 * eps:
-                raise QuadratureError(
-                    f"adaptive Simpson hit the interval cap on [{lo}, {hi}]"
-                )
-            return left + right + (left + right - whole) / 15.0
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, 0.5 * eps, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, 0.5 * eps, depth - 1
-        )
-
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def bisect_then_polish(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    dg: Callable[[float], float] | None = None,
-    bracket_tol: float = 1e-6,
-    polish_tol: float = 1e-12,
-    max_polish: int = 60,
-) -> float:
-    """Root of a monotone increasing g on [lo, hi].
-
-    Bisection narrows the bracket to width bracket_tol, then Newton (when dg
-    is supplied) or secant iterations polish until |g| <= polish_tol scaled
-    by max(1, |g(lo)|, |g(hi)|) local slope terms. The bracket is never left.
-    """
-    glo = g(lo)
-    ghi = g(hi)
-    if glo > 0.0 or ghi < 0.0:
-        raise ValueError(f"root not bracketed on [{lo}, {hi}]: g={glo}, {ghi}")
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    while hi - lo > bracket_tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-
-    x = 0.5 * (lo + hi)
-    gx = g(x)
-    x_prev, g_prev = lo, glo
-    for _ in range(max_polish):
-        if abs(gx) <= polish_tol:
-            return x
-        if dg is not None:
-            slope = dg(x)
-        else:
-            slope = (gx - g_prev) / (x - x_prev) if x != x_prev else 0.0
-        if slope <= 0.0:
-            step_x = 0.5 * (lo + hi)
-        else:
-            step_x = x - gx / slope
-            if not (lo <= step_x <= hi):
-                step_x = 0.5 * (lo + hi)
-        x_prev, g_prev = x, gx
-        x = step_x
-        gx = g(x)
-        if gx < 0.0:
-            lo = x
-        else:
-            hi = x
-    if abs(gx) <= polish_tol * 10.0:
-        return x
-    raise ValueError(f"root polish stalled at x={x}, g={gx}")
+MAX_PANELS = 2**12
+BISECT_ITERS = 40
+POLISH_ITERS = 4
 
 
 @lru_cache(maxsize=32)
@@ -128,29 +26,68 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def gauss_panels(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    width: np.ndarray,
+    atol: float,
+    rtol: float,
+) -> np.ndarray:
+    """Signed (row 0) and absolute (row 1) integrals over [lo, lo + width].
+
+    integrand(a, rows) gets the nodes a of shape (rows.size, panels, 10)
+    for the intervals `rows` and returns the integrand there. Panels double
+    only for the intervals whose absolute integral still moves by more than
+    atol + rtol * itself; past 2**12 panels QuadratureError is raised. A
+    negative width integrates leftward, so its signed integral is that of
+    [lo + width, lo] with the sign flipped. Zero widths integrate to 0.
+    """
+    lo = np.asarray(lo, dtype=float)[:, None, None]
+    half = 0.5 * np.asarray(width, dtype=float)[:, None, None]
+    out, prev = np.zeros((2, lo.shape[0])), np.full(lo.shape[0], np.inf)
+    rows = np.flatnonzero(half[:, 0, 0] != 0.0)
+    nodes, weights = leggauss(10)
+    panels = 1
+    while rows.size:
+        if panels > MAX_PANELS:
+            raise QuadratureError(f"quadrature of {rows.size} intervals unsettled")
+        # about 2**16 panels per integrand call bound the memory of rough integrands
+        for part in np.array_split(rows, -(-rows.size * panels // 2**16)):
+            h = half[part] / panels
+            a = lo[part] + h * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)
+            k = h * weights * integrand(a, part)
+            out[:, part] = np.sum(k, axis=(1, 2)), np.sum(np.abs(k), axis=(1, 2))
+        moved = np.abs(out[1, rows] - prev[rows]) > atol + rtol * out[1, rows]
+        prev[rows] = out[1, rows]
+        rows, panels = rows[moved], 2 * panels
+    return out
+
+
 def vector_bisect_newton(
     g: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     dg: Callable[[np.ndarray], np.ndarray] | None = None,
-    bisect_iters: int = 40,
-    polish_iters: int = 4,
 ) -> np.ndarray:
-    """Vectorized root solve for elementwise-monotone-increasing g.
+    """Elementwise root of a monotone increasing g with g(lo) <= 0 <= g(hi).
 
-    Runs fixed-count bisection then a few Newton steps (secant fallback when
-    dg is None). Used on arrays of targets, e.g. inverting f' along a
-    rarefaction profile.
+    Forty bisections shrink each bracket 2**40-fold. Then four Newton steps
+    polish the midpoint, each clipped to the bracket; when dg is None, one
+    secant step across the final bracket does instead.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(bisect_iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         neg = g(mid) < 0.0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
+    if dg is None:
+        g_lo = g(lo)
+        rise = g(hi) - g_lo  # 0 where g(hi) and g(lo) round to the same float
+        step = np.where(rise > 0.0, (hi - lo) / np.where(rise > 0.0, rise, 1.0), 0.0)
+        return np.clip(lo - g_lo * step, lo, hi)
     x = 0.5 * (lo + hi)
-    if dg is not None:
-        for _ in range(polish_iters):
-            x = np.clip(x - g(x) / dg(x), lo, hi)
+    for _ in range(POLISH_ITERS):
+        x = np.clip(x - g(x) / dg(x), lo, hi)
     return x

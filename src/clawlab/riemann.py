@@ -148,7 +148,7 @@ def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
 def solve_riemann(flux: ConvexFlux, u_l: float, u_r: float) -> WaveFan:
     """Entropy solution of the Riemann problem (u_l, u_r)."""
     for v in (u_l, u_r):
-        if abs(v) > flux.domain_radius + 1e-12:
+        if not abs(v) <= flux.domain_radius + 1e-12:
             raise FluxRangeError(
                 f"state {v} outside the band [-{flux.domain_radius}, "
                 f"{flux.domain_radius}]"

@@ -78,6 +78,18 @@ def test_unknown_flux_and_fixture_exit_2(tmp_path):
     assert run(["evolve", "--config", fix, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_nan_state_exits_2(tmp_path, capsys):
+    # json reads NaN; the band check must reject it like any other bad state
+    cfg = write_cfg(
+        tmp_path,
+        "c.json",
+        {"initial": {"kind": "piecewise", "xs": [-0.5, 0.5], "us": [0.0, float("nan"), 0.0]},
+         "t_end": 0.5},
+    )
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "nan" in capsys.readouterr().err
+
+
 def test_unknown_command_raises_parser_exit():
     with pytest.raises(SystemExit):
         run(["transmogrify"])

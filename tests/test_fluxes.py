@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from clawlab import (
+    ClawError,
     FluxRangeError,
     DegenerateChordError,
+    QuadratureError,
+    Window,
     burgers_flux,
     chord_slope,
     chord_slopes,
     convex_conjugate,
     cosh_flux,
+    evolve,
+    fan_max_residual,
+    front_state,
     inverse_derivative,
+    jump_ep_rate,
     make_convex_flux,
     make_flux,
     poly4_flux,
+    solve_riemann,
+    state_from_data,
+    total_ep,
+    total_ep_kinetic,
     validate_flux,
 )
 
@@ -179,23 +190,77 @@ def test_chord_between_endpoint_slopes(flux):
         assert float(flux.df(a)) < s < float(flux.df(b))
 
 
-def test_quadrature_backed_antiderivatives_match_closed_forms():
-    closed = cosh_flux(2.0)
+@pytest.mark.parametrize("with_ddf", [True, False], ids=["ddf", "no_ddf"])
+@pytest.mark.parametrize("maker", [cosh_flux, poly4_flux], ids=["cosh", "poly4"])
+def test_quadrature_backed_antiderivatives_match_closed_forms(maker, with_ddf):
+    # A user flux with nothing but f, f' (and maybe f''): F, G and the
+    # inverse of f' come from the quadrature kernel, end to end.
+    closed = maker(2.0)
     quad = make_convex_flux(
-        "cosh-quadrature",
+        closed.name + "-quadrature",
         f=closed.f,
         df=closed.df,
         ddf_lower_bound=1.0,
         domain_radius=2.0,
-        ddf=closed.ddf,
+        ddf=closed.ddf if with_ddf else None,
     )
-    for u in (-2.0, -0.8, 0.0, 0.3, 1.9):
-        assert quad.antiderivative_F(u) == pytest.approx(
-            float(closed.antiderivative_F(u)), abs=1e-9
-        )
-        assert quad.antiderivative_G(u) == pytest.approx(
-            float(closed.antiderivative_G(u)), abs=1e-9
-        )
+    u = np.linspace(-2.0, 2.0, 41)
+    for anti in ("antiderivative_F", "antiderivative_G"):
+        got, want = getattr(quad, anti)(u), getattr(closed, anti)(u)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert [getattr(quad, anti)(float(v)) for v in u] == list(got)
+
+    slopes = np.asarray(closed.df(u), dtype=float)
+    arr = inverse_derivative(quad, slopes)
+    assert np.array_equal(arr, [inverse_derivative(quad, float(p)) for p in slopes])
+    assert np.max(np.abs(arr - u)) <= 1e-14
+
+    for a, b in ((1.3, -0.4), (-1.7, 1.9), (0.2, 0.0)):
+        assert abs(jump_ep_rate(quad, a, b) - jump_ep_rate(closed, a, b)) <= 1e-14
+    validate_flux(quad)
+
+    xs, us = [-1.0, -0.3, 0.4, 1.0], [0.0, 1.5, -0.5, 1.0, 0.0]
+    window = Window(0.0, 1.0)
+    trajs = [
+        evolve(state_from_data(fl, xs, us), fl, 1.0, rarefaction_step=0.1)
+        for fl in (quad, closed)
+    ]
+    assert abs(total_ep(trajs[0], window).total - total_ep(trajs[1], window).total) <= 1e-14
+    assert abs(total_ep_kinetic(trajs[0], window) - total_ep_kinetic(trajs[1], window)) <= 1e-12
+    assert fan_max_residual(solve_riemann(quad, -1.5, 1.8)) <= 1e-7
+
+
+def test_rough_user_flux_fails_quadrature_as_a_claw_error():
+    # f'' jumps at u = 0.5: F's integrand is C^1 and settles, G's is only C^0.
+    fl = make_convex_flux(
+        "kinked",
+        f=lambda u: 0.5 * np.asarray(u) ** 2 + np.maximum(np.asarray(u) - 0.5, 0.0) ** 2,
+        df=lambda u: np.asarray(u) + 2.0 * np.maximum(np.asarray(u) - 0.5, 0.0),
+        ddf_lower_bound=1.0,
+    )
+    assert fl.antiderivative_F(0.7) == pytest.approx(0.7**3 / 6 + 0.2**3 / 3, abs=1e-14)
+    with pytest.raises(ClawError) as err:
+        fl.antiderivative_G(0.7)
+    assert isinstance(err.value, QuadratureError)
+
+
+@pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda fl: fl.name)
+def test_nan_fails_every_band_check(flux):
+    nan = float("nan")
+    calls = [
+        lambda: chord_slope(flux, nan, 0.0),
+        lambda: chord_slopes(flux, [0.1, nan], [0.0, 0.0]),
+        lambda: inverse_derivative(flux, nan),
+        lambda: inverse_derivative(flux, np.array([0.0, nan])),
+        lambda: solve_riemann(flux, 0.0, nan),
+        lambda: front_state(flux, 0.0, [0.0, 1.0], [0.0, nan, 0.5]),
+        lambda: flux.with_radius(nan),
+        lambda: make_convex_flux("x", flux.f, flux.df, ddf_lower_bound=nan),
+        lambda: make_convex_flux("x", flux.f, flux.df, 1.0, domain_radius=nan),
+    ]
+    for call in calls:
+        with pytest.raises(FluxRangeError, match="nan"):
+            call()
 
 
 def test_poly4_inverse_without_closed_form():
