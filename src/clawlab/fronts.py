@@ -124,7 +124,6 @@ class Trajectory:
     mode: str
     rarefaction_step: float
     events: list[EventRecord] = field(default_factory=list)
-    forced_events: list[EventRecord] = field(default_factory=list)
     _lifetimes: Lifetimes | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -132,6 +131,11 @@ class Trajectory:
     @property
     def t_start(self) -> float:
         return self.snapshots[0].time
+
+    @property
+    def forced_events(self) -> list[EventRecord]:
+        """Collisions whose as_given merge fell back to the entropic fan."""
+        return [e for e in self.events if e.forced]
 
     def event_times(self) -> list[float]:
         return [e.time for e in self.events]
@@ -433,7 +437,6 @@ class _Tracker:
         self.heap: list[tuple] = []
         self.snapshots: list[FrontState] = []
         self.events: list[EventRecord] = []
-        self.forced: list[EventRecord] = []
 
     def snapshot(self) -> FrontState:
         return FrontState(
@@ -576,10 +579,7 @@ class _Tracker:
                 chain, kinds = resolve_jump(self.flux, u_left, u_right, self.step)
                 forced = True
         first, last = self.replace_group(p, q, x, chain, kinds)
-        rec = EventRecord(self.t, x, "collision", forced)
-        self.events.append(rec)
-        if forced:
-            self.forced.append(rec)
+        self.events.append(EventRecord(self.t, x, "collision", forced))
         self.snapshots.append(self.snapshot())
         for i in range(first - 1, last + 1):
             self.push_pair(i, t_end)
@@ -643,5 +643,4 @@ def _track(flux, start, t_end, mode, rarefaction_step, uncover_events=None) -> T
         mode=mode,
         rarefaction_step=rarefaction_step,
         events=tracker.events,
-        forced_events=tracker.forced,
     )

@@ -34,7 +34,7 @@ import numpy as np
 from .compare import observed_orders
 from .entropy import _as_pair, quadratic_pair
 from .errors import CFLError, FluxRangeError
-from .fluxes import ConvexFlux, inverse_derivative
+from .fluxes import ConvexFlux, _check_band, inverse_derivative
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,14 @@ def run_godunov(
     """Evolve step data to t_end on a padded grid, recording production.
 
     Snapshots are emitted at the first step reaching each requested time
-    (the step is shortened to land exactly on it, CFL still honored).
+    (the step is shortened to land exactly on it, CFL still honored). A
+    state outside the flux band, NaN included, raises FluxRangeError.
     """
     if t_end < 0.0:
         raise FluxRangeError(f"t_end must be nonnegative, got {t_end}")
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
+    _check_band(flux, us, "state")
     if us.size != xs.size + 1:
         raise FluxRangeError(
             f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"

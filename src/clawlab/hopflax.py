@@ -68,7 +68,8 @@ def potential_from_step(xs, us) -> PotentialData:
     """Piecewise-linear primitive of the step function (xs, us).
 
     us[i] is the value on (xs[i-1], xs[i]); the outer values extend as
-    the tail slopes. Anchored so g0(0) = 0.
+    the tail slopes. Anchored so g0(0) = 0. A non-finite entry of xs or
+    us raises FluxRangeError naming it.
     """
     xs = np.array(xs, dtype=float)
     us = np.array(us, dtype=float)
@@ -76,6 +77,10 @@ def potential_from_step(xs, us) -> PotentialData:
         raise FluxRangeError(
             f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
         )
+    for name, arr in (("xs", xs), ("us", us)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
     if xs.size and np.any(np.diff(xs) < 0.0):
         raise FluxRangeError("breakpoints must be non-decreasing")
     bound = float(np.max(np.abs(us)))

@@ -370,11 +370,6 @@ def trapezoid_splice(
         for e in traj.events
         if e.time <= dom.t2 and not dom.contains(e.x, e.time)
     ] + resolved.events
-    forced = [
-        e
-        for e in traj.forced_events
-        if e.time <= dom.t2 and not dom.contains(e.x, e.time)
-    ] + list(resolved.forced_events)
     for i, tau in enumerate(times):
         tau_next = times[i + 1] if i + 1 < len(times) else dom.t2
         if tau_next > tau:
@@ -393,5 +388,4 @@ def trapezoid_splice(
         mode="spliced",
         rarefaction_step=rarefaction_step,
         events=sorted(events, key=lambda e: e.time),
-        forced_events=sorted(forced, key=lambda e: e.time),
     )

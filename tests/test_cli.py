@@ -1,6 +1,8 @@
 """Command line: exit codes, artifact schemas, determinism, worked values."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,78 @@ def test_nan_state_exits_2(tmp_path, capsys):
     )
     assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("us", [[0.0, float("nan"), 0.0], [float("nan"), 1.0, 0.0]])
+def test_nan_state_gives_one_message_wherever_it_sits(tmp_path, capsys, us):
+    # the band radius used to skip or keep the NaN depending on its position
+    cfg = write_cfg(
+        tmp_path,
+        "c.json",
+        {"initial": {"kind": "piecewise", "xs": [-0.5, 0.5], "us": us}, "t_end": 0.5},
+    )
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: state nan is not a finite number\n"
+
+
+RIEMANN_01 = {"kind": "riemann", "u_l": 0.0, "u_r": 1.0}
+SHOCK_10 = {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}
+
+# one passing config per subcommand, and one check that fails
+CONTRACT_RUNS = [
+    ("riemann", {"u_l": 1.0, "u_r": 0.0}, [], 0),
+    ("family", {"u_l": -1.0, "u_r": 1.0, "members": 4}, [], 0),
+    ("evolve", {"initial": RIEMANN_01, "t_end": 1.0, "delta_u": 0.5}, [], 0),
+    ("ep", {"initial": {"kind": "fixture", "name": "two_shock_merge"}}, [], 0),
+    ("rate-compare", {"u_l": -1.0, "u_r": 1.0, "members": 4}, [], 0),
+    ("econd", {"initial": RIEMANN_01, "t_end": 1.0}, [], 0),
+    ("hopflax", {"initial": SHOCK_10, "t": 0.5, "n_samples": 5}, [], 0),
+    (
+        "fv",
+        {"initial": {"kind": "fixture", "name": "single_shock"}, "n_cells": 120,
+         "n_list": [50, 100, 200], "delta_u": 0.002},
+        [],
+        0,
+    ),
+    (
+        "splice",
+        {"initial": RIEMANN_01, "mode": "as_given", "t_end": 1.0,
+         "domain": {"t1": 0.25, "t2": 1.0, "delta": 0.3}},
+        [],
+        0,
+    ),
+    ("delta-audit", {"count": 3}, [], 0),
+    ("ep", {"initial": SHOCK_10, "t_end": 1.0}, ["--tol-ep", "1e-30"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, code",
+    CONTRACT_RUNS,
+    ids=[f"{c}-exit{code}" for c, _, _, code in CONTRACT_RUNS],
+)
+def test_output_contract(tmp_path, capsys, command, payload, extra, code):
+    """stdout announces each artifact once, in write order, and reports checks."""
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)] + extra) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    announced = [ln[len("wrote "):] for ln in lines if ln.startswith("wrote ")]
+    assert sorted(announced) == sorted(str(p) for p in out.iterdir())
+    assert len(set(announced)) == len(announced)
+    mtimes = [Path(p).stat().st_mtime_ns for p in announced]
+    assert mtimes == sorted(mtimes)
+    others = [ln for ln in lines if not ln.startswith("wrote ")]
+    assert others
+    for ln in others:
+        assert re.fullmatch(r"\[(PASS|FAIL)\] [a-z0-9_]+: .+|events=\d+ forced=\d+", ln), ln
+    failed = any(ln.startswith("[FAIL]") for ln in others)
+    assert (code == 0) == (not failed)
+    if code == 3:
+        assert captured.err == "check failed: ep_dual_evaluation\n"
+    else:
+        assert captured.err == ""
 
 
 def test_unknown_command_raises_parser_exit():

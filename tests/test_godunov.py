@@ -177,6 +177,13 @@ def test_run_rejects_bad_shapes():
         run_godunov(fl, [0.0], [1.0, 0.0], 1.0, 6)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 3.0, -2.5])
+def test_run_rejects_states_outside_the_band(bad):
+    # a NaN state used to give an all-NaN grid, and 3.0 a CFLError about dt
+    with pytest.raises(FluxRangeError, match=f"state {bad} outside"):
+        run_godunov(burgers_flux(2.0), [0.0], [0.0, bad], 0.5, 50)
+
+
 def test_numerical_ep_telescopes_for_interior_rearrangement():
     # moving a front across one cell conserves entropy flux bookkeeping:
     # production stays nonpositive for any CFL-respecting update

@@ -64,6 +64,20 @@ def test_potential_constant_data_and_validation():
         PotentialData(g0=lambda y: y + 1.0, lipschitz_bound=1.0)
 
 
+@pytest.mark.parametrize(
+    "xs, us, name",
+    [
+        ([0.0], [0.0, np.nan], r"us\[1\] = nan"),
+        ([np.nan], [0.0, 1.0], r"xs\[0\] = nan"),
+        ([0.0, 1.0], [np.inf, 0.5, 0.0], r"us\[0\] = inf"),
+    ],
+    ids=["us-nan", "xs-nan", "us-inf"],
+)
+def test_potential_rejects_non_finite_data(xs, us, name):
+    with pytest.raises(FluxRangeError, match=name):
+        potential_from_step(xs, us)
+
+
 def test_value_needs_positive_time():
     data = potential_from_step([0.0], [1.0, 0.0])
     with pytest.raises(FluxRangeError):
