@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .entropy import (
     total_ep_kinetic,
 )
 from .errors import ClawError, ConfigError
-from .fluxes import FLUX_CATALOG, chord_slope, make_flux
+from .fluxes import FLUX_CATALOG, chord_slopes, make_flux
 from .fronts import evolve, state_from_data
 from .godunov import convergence_study, max_char_speed, run_godunov
 from .hopflax import potential_from_step, sample_oracle, sample_potential
@@ -130,8 +130,9 @@ def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
             sub_schema = {k: float for k in want} if key == "tolerances" else want
             _check_keys(value, sub_schema, here + ".")
         elif want is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config key '{here}' must be a number")
+            # type() leaves out bool; the bound leaves out NaN, infinities, huge ints
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"config key '{here}' must be a finite number")
         elif want is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"config key '{here}' must be an integer")
@@ -447,11 +448,7 @@ def cmd_ep(cfg: dict) -> int:
         meta,
         ["front_id", "t_start", "t_end", "u_minus", "u_plus", "sigma",
          "D", "absD", "Delta"],
-        [
-            (r.front_id, r.t_start, r.t_end, r.u_minus, r.u_plus, r.sigma, r.rate,
-             r.abs_rate, r.delta)
-            for r in ledger.rows
-        ],
+        [astuple(r) for r in ledger.rows],
     )
     summary = {
         "total_signed": ledger.total_signed,
@@ -743,21 +740,12 @@ def cmd_delta_audit(cfg: dict) -> int:
             pairs.append((float(a), float(b)))
     if not pairs:
         pairs = [(1.0, 0.0)]
-    rows = []
-    for a, b in pairs:
-        kin = delta_density(flux, a, b)
-        chord = delta_density_chord(flux, a, b)
-        rows.append(
-            (
-                a,
-                b,
-                chord_slope(flux, a, b),
-                jump_ep_rate(flux, a, b),
-                kin,
-                chord,
-                chord / kin if kin != 0.0 else float("inf"),
-            )
-        )
+    a, b = np.array(pairs).T
+    sigma = chord_slopes(flux, a, b)
+    kin, chord = delta_density(flux, a, b), delta_density_chord(flux, a, b)
+    ratio = np.divide(chord, kin, out=np.full_like(kin, np.inf), where=kin != 0.0)
+    cols = (a, b, sigma, jump_ep_rate(flux, a, b), kin, chord, ratio)
+    rows = list(zip(*(c.tolist() for c in cols)))
     out = _outdir(cfg)
     meta = {"flux": flux.name, "seed": cfg["seed"], "pairs": len(pairs)}
     write_csv(

@@ -24,18 +24,22 @@ treats the kinetic normalization of the line density as canonical; the
 alternative printed form with the opposite orientation of the flux
 integral (delta_density_chord) is retained for the discrepancy audit
 exposed by the delta-audit CLI command.
+
+Each quantity has one formula, elementwise over jumps: arrays give
+arrays, scalars give float. The ledgers clip every front lifetime to the
+window in one array pass, with the clip behind both clip_front methods,
+and add the clipped rows up in row order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FluxRangeError
-from .fluxes import ConvexFlux, chord_slope, chord_slopes
+from .fluxes import ConvexFlux, chord_slopes, inverse_derivative
 from .quadrature import gauss_panels
 from .riemann import Shock, WaveFan
 
@@ -46,45 +50,67 @@ ArrayLike = float | np.ndarray
 # jump-local densities and rates
 
 
-def kinetic_density(
-    flux: ConvexFlux, u_minus: float, u_plus: float, a: ArrayLike
-) -> ArrayLike:
-    """Defect density k(a) of the jump (u_minus, u_plus) at entropy level a.
+def _float_or_array(out) -> ArrayLike:
+    return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
 
-    Vectorized in a. Compactly supported on [min(u_-,u_+), max(u_-,u_+)]
-    and single-signed with the sign of u_minus - u_plus.
+
+def _left_sum(values: np.ndarray) -> float:
+    # 0.0 + v0 + v1 + ... in row order: np.sum adds in pairs and the builtin
+    # sum compensates from Python 3.12 on, and either changes the last bits
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
+def _chord_speeds(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """Chord speeds of the jumps (a, b), elementwise; 0 where a == b."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    jump = a != b
+    sigma = np.zeros(a.shape)
+    sigma[jump] = chord_slopes(flux, a[jump], b[jump])
+    return sigma
+
+
+def _jump_terms(flux: ConvexFlux, a: ArrayLike, b: ArrayLike):
+    """trap = (a - b)(f(a) + f(b))/2, F(a), F(b) of the jumps (a, b), elementwise;
+    where a == b, trap is 0 and F(b) - F(a) is +0, so D and its chord twin vanish."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    F = flux.antiderivative_F
+    return (a - b) * 0.5 * (flux.f(a) + flux.f(b)), F(a), F(b)
+
+
+def _per_h1_length(flux: ConvexFlux, a: ArrayLike, b: ArrayLike, rate) -> ArrayLike:
+    sigma = _chord_speeds(flux, a, b)
+    return _float_or_array(np.abs(rate) / np.sqrt(1.0 + sigma * sigma))
+
+
+def kinetic_density(
+    flux: ConvexFlux, u_minus: ArrayLike, u_plus: ArrayLike, a: ArrayLike
+) -> ArrayLike:
+    """Defect density k(a) of the jumps (u_minus, u_plus) at entropy levels a.
+
+    Elementwise, the jumps broadcasting against the levels. Compactly
+    supported on [min(u_-,u_+), max(u_-,u_+)] and single-signed with the
+    sign of u_minus - u_plus; exactly 0 for u_minus == u_plus.
     """
-    if u_minus == u_plus:
-        out = np.zeros_like(np.asarray(a, dtype=float))
-        return float(out) if np.ndim(a) == 0 else out
-    sigma = chord_slope(flux, u_minus, u_plus)
-    lo = min(u_minus, u_plus)
-    hi = max(u_minus, u_plus)
+    um, up = np.asarray(u_minus, dtype=float), np.asarray(u_plus, dtype=float)
+    sigma = _chord_speeds(flux, um, up)
+    lo, hi = np.minimum(um, up), np.maximum(um, up)
     raw = np.asarray(a, dtype=float)
     # Levels at or beyond the jump interval carry no defect; force the
     # exact zero there instead of letting the formula cancel to rounding.
     arr = np.clip(raw, lo, hi)
-    lm = np.minimum(u_minus, arr)
-    lp = np.minimum(u_plus, arr)
-    out = (np.asarray(flux.f(lp)) - np.asarray(flux.f(lm))) - sigma * (lp - lm)
-    out = np.where((raw <= lo) | (raw >= hi), 0.0, out)
-    return float(out) if np.ndim(a) == 0 else np.asarray(out, dtype=float)
+    lm, lp = np.minimum(um, arr), np.minimum(up, arr)
+    out = (flux.f(lp) - flux.f(lm)) - sigma * (lp - lm)
+    return _float_or_array(np.where((raw <= lo) | (raw >= hi), 0.0, out))
 
 
-def jump_ep_rate(flux: ConvexFlux, u_minus: float, u_plus: float) -> float:
-    """Signed dissipation rate D of a single jump, in closed form via F.
+def jump_ep_rate(flux: ConvexFlux, u_minus: ArrayLike, u_plus: ArrayLike) -> ArrayLike:
+    """Signed dissipation rate D of the jumps, in closed form via F.
 
-    D > 0 iff u_minus > u_plus (entropic orientation); D = 0 for the
-    degenerate pair. Equals the a-integral of kinetic_density.
+    Elementwise. D > 0 iff u_minus > u_plus (entropic orientation); D = 0
+    for the degenerate pair. Equals the a-integral of kinetic_density.
     """
-    if u_minus == u_plus:
-        return 0.0
-    F = flux.antiderivative_F
-    fm = float(np.asarray(flux.f(u_minus)))
-    fp = float(np.asarray(flux.f(u_plus)))
-    return (u_minus - u_plus) * 0.5 * (fm + fp) + float(
-        np.asarray(F(u_plus))
-    ) - float(np.asarray(F(u_minus)))
+    trap, F_minus, F_plus = _jump_terms(flux, u_minus, u_plus)
+    return _float_or_array(trap + F_plus - F_minus)
 
 
 def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
@@ -95,15 +121,10 @@ def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
     antiderivative F.
     """
     um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
-    jumps = um != up
-    sigma = np.zeros(um.size)
-    sigma[jumps] = chord_slopes(flux, um[jumps], up[jumps])
-
-    def density(a, rows):
-        lm, lp = np.minimum(um[rows, None, None], a), np.minimum(up[rows, None, None], a)
-        return (flux.f(lp) - flux.f(lm)) - sigma[rows, None, None] * (lp - lm)
-
-    return gauss_panels(density, np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0)
+    return gauss_panels(
+        lambda a, rows: kinetic_density(flux, um[rows, None, None], up[rows, None, None], a),
+        np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0,
+    )
 
 
 def jump_ep_rate_kinetic(
@@ -123,38 +144,26 @@ def jump_abs_ep_rate_kinetic(
     return float(_kinetic_rates(flux, u_minus, u_plus, tol)[1, 0])
 
 
-def _h1_factor(flux: ConvexFlux, a: float, b: float) -> float:
-    sigma = chord_slope(flux, a, b)
-    return math.sqrt(1.0 + sigma * sigma)
-
-
-def delta_density(flux: ConvexFlux, a: float, b: float) -> float:
+def delta_density(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
     """Jump-set line density: |D| per unit H^1 length of the front.
 
-    Kinetic normalization: integrating delta_density over the jump set
-    with the length element sqrt(1 + sigma^2) dt reproduces total EP.
-    Symmetric in (a, b).
+    Elementwise. Kinetic normalization: integrating delta_density over the
+    jump set with the length element sqrt(1 + sigma^2) dt reproduces total
+    EP. Symmetric in (a, b).
     """
-    if a == b:
-        return 0.0
-    return abs(jump_ep_rate(flux, a, b)) / _h1_factor(flux, a, b)
+    return _per_h1_length(flux, a, b, jump_ep_rate(flux, a, b))
 
 
-def delta_density_chord(flux: ConvexFlux, a: float, b: float) -> float:
+def delta_density_chord(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
     """Line density with the flux integral taken in chord orientation.
 
-    Differs from delta_density whenever the integral term does not
-    vanish: for Burgers data (1, 0) it gives 5/(6 sqrt 5) against the
-    kinetic 1/(6 sqrt 5). Kept for the normalization audit; nothing
+    Elementwise. Differs from delta_density whenever the integral term
+    does not vanish: for Burgers data (1, 0) it gives 5/(6 sqrt 5) against
+    the kinetic 1/(6 sqrt 5). Kept for the normalization audit; nothing
     downstream consumes it.
     """
-    if a == b:
-        return 0.0
-    F = flux.antiderivative_F
-    fa = float(np.asarray(flux.f(a)))
-    fb = float(np.asarray(flux.f(b)))
-    num = (a - b) * 0.5 * (fa + fb) - (float(np.asarray(F(b))) - float(np.asarray(F(a))))
-    return abs(num) / _h1_factor(flux, a, b)
+    trap, F_a, F_b = _jump_terms(flux, a, b)
+    return _per_h1_length(flux, a, b, trap - (F_b - F_a))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +226,12 @@ def validate_pair(
         )
 
 
+def _shocks(fan: WaveFan) -> np.ndarray:
+    """u_minus, u_plus and sigma of the fan's shocks, as three arrays."""
+    rows = [(w.u_minus, w.u_plus, w.sigma) for w in fan.waves if isinstance(w, Shock)]
+    return np.array(rows, dtype=float).reshape(-1, 3).T
+
+
 def _as_pair(pair) -> EntropyPair:
     if isinstance(pair, EntropyPair):
         return pair
@@ -233,17 +248,10 @@ def combined_entropy_P(fan: WaveFan, pair) -> float:
     fan maximizes dissipation (most negative P) pointwise per jump.
     """
     p = _as_pair(pair)
-    total = 0.0
-    for w in fan.waves:
-        if isinstance(w, Shock):
-            d_eta = float(np.asarray(p.eta(w.u_plus))) - float(
-                np.asarray(p.eta(w.u_minus))
-            )
-            d_xi = float(np.asarray(p.xi(w.u_plus))) - float(
-                np.asarray(p.xi(w.u_minus))
-            )
-            total += d_xi - w.sigma * d_eta
-    return total
+    um, up, sigma = _shocks(fan)
+    d_eta = np.asarray(p.eta(up)) - np.asarray(p.eta(um))
+    d_xi = np.asarray(p.xi(up)) - np.asarray(p.xi(um))
+    return _left_sum(d_xi - sigma * d_eta)
 
 
 def entropy_rate_Hdot(fan: WaveFan, pair) -> float:
@@ -263,13 +271,8 @@ def entropy_rate_Hdot(fan: WaveFan, pair) -> float:
 
 def fan_ep_rate(fan: WaveFan) -> float:
     """Entropy production per unit time of a fan: sum of |D| over shocks."""
-    return float(
-        sum(
-            abs(jump_ep_rate(fan.flux, w.u_minus, w.u_plus))
-            for w in fan.waves
-            if isinstance(w, Shock)
-        )
-    )
+    um, up, _ = _shocks(fan)
+    return _left_sum(np.abs(jump_ep_rate(fan.flux, um, up)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +397,6 @@ def check_e_condition_fan(
     pad = max(1.0, hi_speed - lo_speed)
     xs += [(lo_speed - pad) * t, (hi_speed + pad) * t]
     us += [fan.left_state, fan.right_state]
-    from .fluxes import inverse_derivative
-
     for w in fan.waves:
         if isinstance(w, Shock):
             zero_pairs.append((w.sigma * t, w.u_minus, w.u_plus))
@@ -452,38 +453,62 @@ def check_entropy_inequality(state, flux: ConvexFlux, n_levels: int = 33):
 # windows and trajectory ledgers
 
 
+class _Domain:
+    """Space-time domain between the times of `span` and the left and right
+    edge lines x = p + q t of `edges`, both given by subclasses."""
+
+    def clip(self, t_a, t_b, x_a, sigma):
+        """Times [lo, hi] the fronts x(t) = x_a + sigma (t - t_a), t in [t_a, t_b],
+        spend inside, elementwise; lo >= hi where a front misses the domain.
+
+        A front running exactly along an edge counts as inside; any other front
+        meets the boundary at isolated times, so open and closed domains agree.
+        """
+        (t_lo, t_hi), edges = self.span, self.edges
+        # on ties where() keeps the first operand, as builtin max does; np.maximum may not
+        lo = np.where(t_lo > t_a, t_lo, t_a)
+        hi = np.where(t_hi < t_b, t_hi, t_b)
+        x0 = x_a - sigma * t_a
+        for (p, q), side in zip(edges, (1.0, -1.0)):
+            # inside this edge: side * ((sigma - q) t - (p - x0)) >= 0
+            rel, gap = sigma - q, p - x0
+            root = gap / np.where(rel == 0.0, 1.0, rel)
+            lo = np.where((side * rel > 0.0) & (root > lo), root, lo)
+            hi = np.where((side * rel < 0.0) & (root < hi), root, hi)
+            hi = np.where((rel == 0.0) & (side * gap > 0.0), -np.inf, hi)
+        return lo, hi
+
+    def clip_front(
+        self, t_a: float, t_b: float, x_a: float, sigma: float
+    ) -> tuple[float, float]:
+        """Sub-interval of [t_a, t_b] the front x(t) = x_a + sigma (t - t_a)
+        spends inside the domain. Returns (lo, hi) with lo >= hi if empty."""
+        lo, hi = self.clip(t_a, t_b, x_a, sigma)
+        return float(lo), float(hi)
+
+
 @dataclass(frozen=True)
-class Window:
-    """Space-time rectangle [t_lo, t_hi] x [x_lo, x_hi]."""
+class Window(_Domain):
+    """Space-time rectangle [t_lo, t_hi] x [x_lo, x_hi]: edges ordered, none
+    NaN, the x edges possibly infinite."""
 
     t_lo: float
     t_hi: float
     x_lo: float = -np.inf
     x_hi: float = np.inf
 
-    def clip_front(
-        self, t_a: float, t_b: float, x_a: float, sigma: float
-    ) -> tuple[float, float]:
-        """Sub-interval of [t_a, t_b] the front x(t) = x_a + sigma (t - t_a)
-        spends inside the rectangle. Returns (lo, hi) with lo >= hi if empty."""
-        lo = max(t_a, self.t_lo)
-        hi = min(t_b, self.t_hi)
-        for bound, side in ((self.x_lo, +1.0), (self.x_hi, -1.0)):
-            if not np.isfinite(bound):
-                continue
-            # side * (x(t) - bound) >= 0
-            alpha = side * sigma
-            beta = side * (x_a - sigma * t_a - bound)
-            if abs(alpha) < 1e-300:
-                if beta < 0.0:
-                    return (1.0, 0.0)
-                continue
-            root = -beta / alpha
-            if alpha > 0.0:
-                lo = max(lo, root)
-            else:
-                hi = min(hi, root)
-        return (lo, hi)
+    def __post_init__(self):
+        if not (self.t_lo <= self.t_hi and self.x_lo <= self.x_hi):
+            raise FluxRangeError(f"window edges must be ordered numbers, got {self}")
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return (self.t_lo, self.t_hi)
+
+    @property
+    def edges(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Left and right edge lines x = p + q t, as (p, q)."""
+        return ((self.x_lo, 0.0), (self.x_hi, 0.0))
 
 
 @dataclass(frozen=True)
@@ -512,13 +537,14 @@ class EntropyLedger:
         return self.total_abs if self.mode == "abs" else self.total_signed
 
 
-def _clipped_lifetimes(traj, window):
-    """(front_id, u_minus, u_plus, sigma, lo, hi) for every front lifetime of
-    traj that meets the window, [lo, hi] being the time it spends inside."""
-    for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
-        lo, hi = window.clip_front(t_b, t_d, x_b, sigma)
-        if hi > lo:
-            yield fid, um, up, sigma, lo, hi
+def _rows_inside(traj, window):
+    """front_id, u_minus, u_plus, sigma and in-window times lo, hi of every
+    front lifetime of traj that meets the window, as arrays."""
+    r = traj.lifetimes()
+    lo, hi = window.clip(r.t_birth, r.t_death, r.x_birth, r.sigma)
+    keep = hi > lo
+    return (r.front_id[keep], r.u_minus[keep], r.u_plus[keep], r.sigma[keep],
+            lo[keep], hi[keep])
 
 
 def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
@@ -531,15 +557,16 @@ def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
     """
     if mode not in ("abs", "signed"):
         raise FluxRangeError(f"ledger mode must be 'abs' or 'signed', got {mode!r}")
-    flux = traj.flux
-    ledger = EntropyLedger(window=window, mode=mode)
-    for fid, um, up, sigma, lo, hi in _clipped_lifetimes(traj, window):
-        rate = jump_ep_rate(flux, um, up)
-        delta = delta_density(flux, um, up)
-        ledger.rows.append(LedgerRow(fid, lo, hi, um, up, sigma, rate, abs(rate), delta))
-        ledger.total_signed += rate * (hi - lo)
-        ledger.total_abs += abs(rate) * (hi - lo)
-    return ledger
+    fid, um, up, sigma, lo, hi = _rows_inside(traj, window)
+    rate = jump_ep_rate(traj.flux, um, up)
+    cols = (fid, lo, hi, um, up, sigma, rate, np.abs(rate), delta_density(traj.flux, um, up))
+    return EntropyLedger(
+        window=window,
+        rows=[LedgerRow(*row) for row in zip(*(c.tolist() for c in cols))],
+        total_signed=_left_sum(rate * (hi - lo)),
+        total_abs=_left_sum(np.abs(rate) * (hi - lo)),
+        mode=mode,
+    )
 
 
 def total_ep_kinetic(traj, window: Window, tol: float = 1e-12) -> float:
@@ -549,11 +576,8 @@ def total_ep_kinetic(traj, window: Window, tol: float = 1e-12) -> float:
     lifetimes that meet the window are integrated in one vectorized pass,
     each then weighted by the lifetime's in-window duration.
     """
-    rows = list(_clipped_lifetimes(traj, window))
-    if not rows:
-        return 0.0
-    _, um, up, _, lo, hi = (np.array(col) for col in zip(*rows))
-    return sum((_kinetic_rates(traj.flux, um, up, tol)[1] * (hi - lo)).tolist())
+    _, um, up, _, lo, hi = _rows_inside(traj, window)
+    return _left_sum(_kinetic_rates(traj.flux, um, up, tol)[1] * (hi - lo))
 
 
 def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> float:
@@ -562,9 +586,7 @@ def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> fl
     Each front lifetime contributes Delta(u_-, u_+) times its H^1 length
     inside the window, sqrt(1 + sigma^2) x duration.
     """
-    flux = traj.flux
     density = delta_density_chord if use_chord_delta else delta_density
-    total = 0.0
-    for _, um, up, sigma, lo, hi in _clipped_lifetimes(traj, window):
-        total += density(flux, um, up) * ((hi - lo) * math.sqrt(1.0 + sigma * sigma))
-    return total
+    _, um, up, sigma, lo, hi = _rows_inside(traj, window)
+    h1 = (hi - lo) * np.sqrt(1.0 + sigma * sigma)
+    return _left_sum(density(traj.flux, um, up) * h1)

@@ -613,18 +613,19 @@ def evolve(
     entropic mode first re-solves every ascending jump of the initial
     snapshot into a fragment staircase, then handles each collision with
     the admissible local fan. as_given mode keeps the data verbatim and
-    merges collisions into single chord-speed fronts.
+    merges collisions into single chord-speed fronts. t_end and
+    rarefaction_step must be finite numbers.
     """
     if mode not in ("entropic", "as_given"):
         raise FluxRangeError(f"mode must be 'entropic' or 'as_given', got {mode!r}")
-    if t_end < initial.time:
+    if not initial.time <= t_end < math.inf:
         raise FluxRangeError(
-            f"t_end={t_end} precedes the initial time {initial.time}"
+            f"t_end={t_end} must be finite and not precede the initial time {initial.time}"
         )
     if rarefaction_step is None:
         rarefaction_step = 0.01 * flux.domain_radius
-    if rarefaction_step <= 0.0:
-        raise FluxRangeError(f"rarefaction_step must be positive: {rarefaction_step}")
+    if not 0.0 < rarefaction_step < math.inf:
+        raise FluxRangeError(f"rarefaction_step must be positive and finite: {rarefaction_step}")
     start = initial
     if mode == "entropic":
         start = entropic_resolve_state(flux, initial, rarefaction_step)

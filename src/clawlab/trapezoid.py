@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entropy import _Domain
 from .errors import ClawError, FluxRangeError, InvariantViolation, TangencyError
 from .fluxes import ConvexFlux
 from .fronts import (
@@ -46,8 +47,10 @@ _TANGENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TrapezoidDomain:
-    """Open trapezoid {(x, t): t1 < t < t2, |x| < delta + (t - t1)/lambda_hat}."""
+class TrapezoidDomain(_Domain):
+    """Open trapezoid {(x, t): t1 < t < t2, |x| < delta + (t - t1)/lambda_hat}.
+
+    t1, t2 and delta are finite; `edges` gives the lateral edges as lines."""
 
     t1: float
     t2: float
@@ -55,10 +58,10 @@ class TrapezoidDomain:
     lambda_hat: float
 
     def __post_init__(self):
-        if not (self.t2 > self.t1):
-            raise FluxRangeError(f"need t2 > t1, got [{self.t1}, {self.t2}]")
-        if self.delta <= 0.0:
-            raise FluxRangeError(f"delta must be positive, got {self.delta}")
+        if not (-np.inf < self.t1 < self.t2 < np.inf):
+            raise FluxRangeError(f"need finite t1 < t2, got [{self.t1}, {self.t2}]")
+        if not 0.0 < self.delta < np.inf:
+            raise FluxRangeError(f"delta must be positive and finite, got {self.delta}")
         if not (0.0 < self.lambda_hat <= 1.0):
             raise FluxRangeError(
                 f"lambda_hat must lie in (0, 1], got {self.lambda_hat}"
@@ -87,27 +90,15 @@ class TrapezoidDomain:
             return False
         return abs(x) < float(self.theta_plus(t))
 
-    def clip_front(
-        self, t_a: float, t_b: float, x_a: float, sigma: float
-    ) -> tuple[float, float]:
-        """Time interval the front x(t) = x_a + sigma (t - t_a) spends inside.
+    @property
+    def span(self) -> tuple[float, float]:
+        return (self.t1, self.t2)
 
-        Same contract as Window.clip_front, so ledgers accept either."""
-        lo = max(t_a, self.t1)
-        hi = min(t_b, self.t2)
+    @property
+    def edges(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Left and right lateral edges x = p + q t, as (p, q)."""
         inv = 1.0 / self.lambda_hat
-        # x(t) < theta_plus(t):  (inv - sigma) t > x_a - sigma t_a - delta + inv t1
-        for sign in (+1.0, -1.0):
-            alpha = inv - sign * sigma
-            beta = sign * (x_a - sigma * t_a) + self.t1 * inv - self.delta
-            if alpha > 0.0:
-                lo = max(lo, beta / alpha)
-            elif alpha == 0.0:
-                if beta >= 0.0:
-                    return (1.0, 0.0)
-            else:
-                hi = min(hi, beta / alpha)
-        return (lo, hi)
+        return ((-self.delta + inv * self.t1, -inv), (self.delta - inv * self.t1, inv))
 
 
 def lambda0(flux: ConvexFlux, boundary_sup: float = 1.0) -> float:
@@ -164,7 +155,7 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
     """Boundary data of a tracked trajectory along Lambda.
 
     The fronts alive at t1 cross the flat bottom; each front lifetime is
-    intersected with the two lateral edges. Tangent fronts (speed within
+    intersected with the two lateral edge lines of dom.edges. Tangent fronts (speed within
     1e-10 of the edge slope) raise TangencyError, crossings within 1e-9 of
     a corner raise ClawError, and t1 must not coincide with an event time.
     """
@@ -178,7 +169,7 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
             raise ClawError(
                 f"t1={dom.t1} coincides with an event time; shift the window"
             )
-    inv = 1.0 / dom.lambda_hat
+    edges = dom.edges
     crossings: list[Crossing] = []
 
     flat = traj.state_at(dom.t1)
@@ -206,15 +197,12 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
         hi_t = min(t_d, dom.t2)
         if hi_t <= lo_t:
             continue
-        if min(abs(sigma - inv), abs(sigma + inv)) <= _TANGENT_TOL:
+        if min(abs(sigma - q) for _, q in edges) <= _TANGENT_TOL:
             raise TangencyError(
-                f"front {fid} speed {sigma} is tangent to the lateral boundary slope {inv}"
+                f"front {fid} speed {sigma} is tangent to the lateral boundary slope {edges[1][1]}"
             )
-        # right edge: x(t) = delta + (t - t1) inv
-        t_r = (dom.delta - inv * dom.t1 - x_b + sigma * t_b) / (sigma - inv)
-        # left edge: x(t) = -delta - (t - t1) inv
-        t_l = (-dom.delta + inv * dom.t1 - x_b + sigma * t_b) / (sigma + inv)
-        for t_star, side in ((t_l, "left"), (t_r, "right")):
+        for (p, q), side in zip(edges, ("left", "right")):
+            t_star = (p - x_b + sigma * t_b) / (sigma - q)
             if not (lo_t < t_star <= hi_t):
                 continue
             s = x_b + sigma * (t_star - t_b)

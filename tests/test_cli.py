@@ -448,3 +448,27 @@ def test_hopflax_shock_compare(tmp_path):
     _, header, rows = read_csv_rows(out / "hopflax_samples.csv")
     assert header == ["x", "t", "g", "u"]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("evolve", {"initial": {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}, "t_end": float("nan")},
+         "t_end"),
+        ("ep", {"initial": {"kind": "fixture", "name": "two_shock_merge"},
+                "window": {"t_lo": float("nan"), "t_hi": 1.0}}, "window.t_lo"),
+        ("ep", {"initial": {"kind": "fixture", "name": "two_shock_merge"},
+                "window": {"x_hi": float("inf")}}, "window.x_hi"),
+        ("riemann", {"u_l": float("-inf"), "u_r": 0.0}, "u_l"),
+        ("riemann", {"u_l": 1.0, "u_r": 0.0, "tolerances": {"ep": float("nan")}},
+         "tolerances.ep"),
+        ("evolve", {"initial": {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}, "t_end": 10**400},
+         "t_end"),
+    ],
+)
+def test_non_finite_float_key_exits_2_with_one_message(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
+    assert not (tmp_path / "o").exists()

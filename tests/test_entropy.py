@@ -1,10 +1,15 @@
 """Entropy production: defect densities, rates, functionals, ledgers."""
 
+import math
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from clawlab import (
     EntropyPair,
+    TrapezoidDomain,
     Window,
     burgers_flux,
     chebyshev_levels,
@@ -40,6 +45,8 @@ from clawlab import (
     validate_pair,
 )
 from clawlab.errors import FluxRangeError
+from clawlab.fluxes import chord_slopes
+from clawlab.quadrature import gauss_panels
 from clawlab.riemann import EXPANSION_SHOCK, RAREFACTION
 
 ALL_FLUXES = [burgers_flux(2.0), cosh_flux(2.0), poly4_flux(2.0)]
@@ -353,3 +360,213 @@ def test_staircase_ep_vanishes_quadratically_in_delta_u():
     totals = np.asarray(totals)
     orders = np.log2(totals[:-1] / totals[1:])
     assert np.all(orders > 1.9)
+
+
+# ---------------------------------------------------------------------------
+# array ledgers against a per-row reference
+#
+# The reference below is the scalar clip, rate and density code the array
+# ledgers replaced, kept literally: the ledgers must reproduce it bit for bit.
+
+
+def _ref_clip_front(win, t_a, t_b, x_a, sigma):
+    lo = max(t_a, win.t_lo)
+    hi = min(t_b, win.t_hi)
+    for bound, side in ((win.x_lo, +1.0), (win.x_hi, -1.0)):
+        if not np.isfinite(bound):
+            continue
+        # side * (x(t) - bound) >= 0
+        alpha = side * sigma
+        beta = side * (x_a - sigma * t_a - bound)
+        if abs(alpha) < 1e-300:
+            if beta < 0.0:
+                return (1.0, 0.0)
+            continue
+        root = -beta / alpha
+        if alpha > 0.0:
+            lo = max(lo, root)
+        else:
+            hi = min(hi, root)
+    return (lo, hi)
+
+
+def _ref_jump_ep_rate(flux, u_minus, u_plus):
+    if u_minus == u_plus:
+        return 0.0
+    F = flux.antiderivative_F
+    fm = float(np.asarray(flux.f(u_minus)))
+    fp = float(np.asarray(flux.f(u_plus)))
+    return (u_minus - u_plus) * 0.5 * (fm + fp) + float(
+        np.asarray(F(u_plus))
+    ) - float(np.asarray(F(u_minus)))
+
+
+def _ref_h1_factor(flux, a, b):
+    sigma = chord_slope(flux, a, b)
+    return math.sqrt(1.0 + sigma * sigma)
+
+
+def _ref_delta_density(flux, a, b):
+    if a == b:
+        return 0.0
+    return abs(_ref_jump_ep_rate(flux, a, b)) / _ref_h1_factor(flux, a, b)
+
+
+def _ref_delta_density_chord(flux, a, b):
+    if a == b:
+        return 0.0
+    F = flux.antiderivative_F
+    fa = float(np.asarray(flux.f(a)))
+    fb = float(np.asarray(flux.f(b)))
+    num = (a - b) * 0.5 * (fa + fb) - (float(np.asarray(F(b))) - float(np.asarray(F(a))))
+    return abs(num) / _ref_h1_factor(flux, a, b)
+
+
+def _ref_kinetic_rates(flux, u_minus, u_plus, tol):
+    um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
+    jumps = um != up
+    sigma = np.zeros(um.size)
+    sigma[jumps] = chord_slopes(flux, um[jumps], up[jumps])
+
+    def density(a, rows):
+        lm, lp = np.minimum(um[rows, None, None], a), np.minimum(up[rows, None, None], a)
+        return (flux.f(lp) - flux.f(lm)) - sigma[rows, None, None] * (lp - lm)
+
+    return gauss_panels(density, np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0)
+
+
+def _ref_ledgers(traj, window):
+    """(rows, total_signed, total_abs, kinetic, delta_h1, delta_h1_chord)."""
+    flux = traj.flux
+    clipped = []
+    for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
+        lo, hi = _ref_clip_front(window, t_b, t_d, x_b, sigma)
+        if hi > lo:
+            clipped.append((fid, um, up, sigma, lo, hi))
+    rows, signed, absolute, via_delta, via_chord = [], 0.0, 0.0, 0.0, 0.0
+    for fid, um, up, sigma, lo, hi in clipped:
+        rate = _ref_jump_ep_rate(flux, um, up)
+        delta = _ref_delta_density(flux, um, up)
+        rows.append((fid, lo, hi, um, up, sigma, rate, abs(rate), delta))
+        signed += rate * (hi - lo)
+        absolute += abs(rate) * (hi - lo)
+        via_delta += delta * ((hi - lo) * math.sqrt(1.0 + sigma * sigma))
+        via_chord += _ref_delta_density_chord(flux, um, up) * (
+            (hi - lo) * math.sqrt(1.0 + sigma * sigma)
+        )
+    kinetic = 0.0
+    if clipped:
+        _, um, up, _, lo, hi = (np.array(col) for col in zip(*clipped))
+        # sum() over this list, which adds left to right before Python 3.12
+        for v in (_ref_kinetic_rates(flux, um, up, 1e-12)[1] * (hi - lo)).tolist():
+            kinetic += v
+    return rows, signed, absolute, kinetic, via_delta, via_chord
+
+
+def _bits(values):
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+LEDGER_WINDOWS = [
+    Window(0.0, 1.0),
+    Window(0.1, 0.9, x_lo=-1.0, x_hi=2.0),
+    Window(0.25, 0.75, x_lo=-0.3, x_hi=0.4),
+]
+
+
+@pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.name)
+@pytest.mark.parametrize("mode", ["entropic", "as_given"])
+def test_array_ledgers_match_per_row_reference_bit_for_bit(flux, mode):
+    rng = np.random.default_rng(2024)
+    for _ in range(3):
+        n = int(rng.integers(3, 7))
+        xs = np.sort(rng.uniform(-1.0, 1.0, n))
+        us = rng.uniform(-1.5, 1.5, n + 1)
+        traj = evolve(state_from_data(flux, xs, us), flux, 1.0, mode=mode, rarefaction_step=0.1)
+        for win in LEDGER_WINDOWS:
+            rows, signed, absolute, kinetic, via_delta, via_chord = _ref_ledgers(traj, win)
+            ledger = total_ep(traj, win)
+            assert [_bits(astuple(r)) for r in ledger.rows] == [_bits(r) for r in rows]
+            got = [
+                ledger.total_signed,
+                ledger.total_abs,
+                total_ep_kinetic(traj, win),
+                total_ep_delta_h1(traj, win),
+                total_ep_delta_h1(traj, win, use_chord_delta=True),
+            ]
+            assert _bits(got) == _bits([signed, absolute, kinetic, via_delta, via_chord])
+
+
+@pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.name)
+def test_jump_functions_elementwise_equal_scalar_calls(flux):
+    rng = np.random.default_rng(31)
+    pairs = rng.uniform(-2.0, 2.0, size=(40, 2))
+    pairs[::7, 1] = pairs[::7, 0]  # degenerate pairs in between
+    a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
+    for fn in (jump_ep_rate, delta_density, delta_density_chord):
+        scalar = [fn(flux, float(x), float(y)) for x, y in zip(a, b)]
+        assert all(type(v) is float for v in scalar)
+        assert _bits(fn(flux, a, b).tolist()) == _bits(scalar)
+        assert _bits(fn(flux, a[::7], b[::7]).tolist()) == _bits([0.0] * a[::7].size)
+    levels = np.linspace(-2.2, 2.2, 23)
+    grid = kinetic_density(flux, a[:, None], b[:, None], levels)
+    assert grid.shape == (a.size, levels.size)
+    for i in range(a.size):
+        row = kinetic_density(flux, float(a[i]), float(b[i]), levels)
+        assert _bits(grid[i].tolist()) == _bits(row.tolist())
+        point = kinetic_density(flux, float(a[i]), float(b[i]), float(levels[5]))
+        assert type(point) is float and _bits([point]) == _bits([float(row[5])])
+    assert not grid[::7].any()
+
+
+def test_window_rejects_nan_and_inverted_edges():
+    for edges in [
+        (np.nan, 1.0),
+        (0.0, np.nan),
+        (0.0, 1.0, np.nan, 1.0),
+        (0.0, 1.0, -1.0, np.nan),
+        (1.0, 0.5),
+        (0.0, 1.0, 0.5, -0.5),
+    ]:
+        with pytest.raises(FluxRangeError):
+            Window(*edges)
+    assert Window(0.0, 1.0, -np.inf, np.inf).clip_front(0.0, 2.0, 5.0, 1.0) == (0.0, 1.0)
+    assert Window(0.5, 0.5).clip_front(0.0, 1.0, 0.0, 0.0) == (0.5, 0.5)
+
+
+def test_front_along_an_edge_counts_as_inside():
+    win = Window(0.0, 1.0, x_lo=0.5, x_hi=1.5)
+    assert win.clip_front(0.0, 2.0, 0.5, 0.0) == (0.0, 1.0)
+    assert win.clip_front(0.0, 2.0, 1.5, 0.0) == (0.0, 1.0)
+    lo, hi = win.clip_front(0.0, 2.0, 0.25, 0.0)
+    assert lo >= hi
+    # lateral edges x = +-(0.25 + 2 t) of a trapezoid with lambda_hat = 1/2
+    dom = TrapezoidDomain(t1=0.0, t2=1.0, delta=0.25, lambda_hat=0.5)
+    assert dom.clip_front(0.0, 2.0, 0.25, 2.0) == (0.0, 1.0)
+    assert dom.clip_front(0.0, 2.0, -0.25, -2.0) == (0.0, 1.0)
+    lo, hi = dom.clip_front(0.0, 2.0, 0.3, 2.0)
+    assert lo >= hi
+
+
+def test_total_ep_over_trapezoid_matches_brute_indicator():
+    fl = burgers_flux()
+    dom = TrapezoidDomain(t1=0.2, t2=0.8, delta=0.3, lambda_hat=0.4)
+    ts = np.linspace(0.0, 1.0, 20001)
+    dt = ts[1] - ts[0]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(-1.0, 1.0, 5))
+        us = rng.uniform(-1.0, 1.0, 6)
+        traj = evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given", rarefaction_step=0.1)
+        ledger = total_ep(traj, dom)
+        inside = {(r.front_id, r.u_minus, r.u_plus, r.sigma): r.t_end - r.t_start for r in ledger.rows}
+        want = 0.0
+        for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
+            x = x_b + sigma * (ts - t_b)
+            mask = (ts >= t_b) & (ts < t_d) & (ts > dom.t1) & (ts < dom.t2)
+            mask &= np.abs(x) < dom.theta_plus(ts)
+            measured = float(np.sum(mask)) * dt
+            assert inside.get((fid, um, up, sigma), 0.0) == pytest.approx(measured, abs=2 * dt)
+            want += abs(jump_ep_rate(fl, um, up)) * measured
+        assert len(ledger.rows) > 0
+        assert ledger.total_abs == pytest.approx(want, abs=1e-4)

@@ -388,3 +388,14 @@ def test_repeated_breakpoint_becomes_one_jump():
         state = state_from_data(fl, [0.0, 0.0], us)
         assert state.n_fronts == n
         assert state.states[0] == us[0] and state.states[-1] == us[-1]
+
+
+@pytest.mark.parametrize(
+    "t_end, step",
+    [(np.nan, None), (np.inf, None), (-np.inf, None), (1.0, np.nan), (1.0, np.inf)],
+)
+def test_evolve_rejects_non_finite_horizon_and_step(t_end, step):
+    fl = burgers_flux()
+    state = state_from_data(fl, [0.0], [1.0, 0.0])
+    with pytest.raises(FluxRangeError):
+        evolve(state, fl, t_end, rarefaction_step=step)

@@ -213,3 +213,12 @@ def test_splice_seams_are_continuous_across_lambda():
             assert st.value_at(edge - 1e-10) == pytest.approx(
                 float(traj.state_at(t).value_at(edge - 1e-10)), abs=1e-9
             )
+
+
+@pytest.mark.parametrize(
+    "t1, t2, delta",
+    [(0.0, 1.0, np.nan), (0.0, 1.0, np.inf), (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1)],
+)
+def test_domain_rejects_non_finite_edges(t1, t2, delta):
+    with pytest.raises(FluxRangeError):
+        TrapezoidDomain(t1=t1, t2=t2, delta=delta, lambda_hat=0.5)
