@@ -94,7 +94,9 @@ _COMMON_SCHEMA = {
 
 _RIEMANN = {**_COMMON_SCHEMA, "u_l": float, "u_r": float}
 _FAMILY = {**_RIEMANN, "members": int, "max_intermediates": int}
-_STEP = {**_COMMON_SCHEMA, "initial": _INITIAL_SCHEMA, "delta_u": float}
+# the keys the shared flags override; every subcommand takes them all
+_FLAGS = {**_COMMON_SCHEMA, "delta_u": float}
+_STEP = {**_FLAGS, "initial": _INITIAL_SCHEMA}
 _TRACKED = {**_STEP, "mode": str, "t_end": float}
 _WINDOW = {"t_lo": float, "t_hi": float, "x_lo": float, "x_hi": float}
 
@@ -104,16 +106,16 @@ _SCHEMAS = {
     "evolve": _TRACKED,
     "ep": {**_TRACKED, "window": _WINDOW},
     "rate-compare": _FAMILY,
-    "econd": {**_TRACKED, "times": list, "slack": float, "expect": str},
+    "econd": {**_TRACKED, "times": [float], "slack": float, "expect": str},
     "hopflax": {**_STEP, "t": float, "x_lo": float, "x_hi": float, "n_samples": int},
     "fv": {**_STEP, "t_end": float, "n_cells": int, "nu": float, "n_list": list,
-           "snapshot_times": list},
+           "snapshot_times": [float]},
     "splice": {
         **_TRACKED,
         "domain": {"t1": float, "t2": float, "delta": float, "lambda_hat": float},
         "window": _WINDOW,
     },
-    "delta-audit": {**_RIEMANN, "pairs": list, "count": int},
+    "delta-audit": {**_RIEMANN, "pairs": [[float]], "count": int},
 }
 
 
@@ -124,24 +126,35 @@ def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
             known = ", ".join(sorted(schema))
             raise ConfigError(f"unknown config key '{here}' (known here: {known})")
         want = schema[key]
-        if isinstance(want, dict) and not isinstance(want, type):
+        if isinstance(want, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{here}' must be an object")
             sub_schema = {k: float for k in want} if key == "tolerances" else want
             _check_keys(value, sub_schema, here + ".")
-        elif want is float:
-            # type() leaves out bool; the bound leaves out NaN, infinities, huge ints
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"config key '{here}' must be a finite number")
-        elif want is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config key '{here}' must be an integer")
-        elif want is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key '{here}' must be a string")
-        elif want is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"config key '{here}' must be a list")
+        else:
+            _check_value(here, value, want)
+
+
+def _check_value(here: str, value, want) -> None:
+    if isinstance(want, list):
+        # [item_type]: a list whose every entry is checked as item_type
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{here}' must be a list")
+        for i, item in enumerate(value):
+            _check_value(f"{here}[{i}]", item, want[0])
+    elif want is float:
+        # type() leaves out bool; the bound leaves out NaN, infinities, huge ints
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config key '{here}' must be a finite number")
+    elif want is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"config key '{here}' must be an integer")
+    elif want is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"config key '{here}' must be a string")
+    elif want is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{here}' must be a list")
 
 
 def load_config(command: str, args: argparse.Namespace) -> dict:
@@ -157,15 +170,15 @@ def load_config(command: str, args: argparse.Namespace) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _SCHEMAS[command])
-    for key in ("flux", "out", "seed", "delta_u"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    tols = dict(_TOLERANCE_DEFAULTS)
-    tols.update(cfg.get("tolerances", {}))
+    # flags pass the same checks as the config keys they override
+    flags = {k: getattr(args, k) for k in ("flux", "out", "seed", "delta_u")}
+    flags = {k: v for k, v in flags.items() if v is not None}
     if args.tol_ep is not None:
-        tols["ep"] = args.tol_ep
+        flags["tolerances"] = {"ep": args.tol_ep}
+    _check_keys(flags, _FLAGS)
+    tols = {**_TOLERANCE_DEFAULTS, **cfg.get("tolerances", {}), **flags.pop("tolerances", {})}
+    cfg = {"flux": "burgers", "out": "clawlab_out", "seed": 0, **cfg, **flags}
     cfg["tolerances"] = tols
-    cfg = {"flux": "burgers", "out": "clawlab_out", "seed": 0, **cfg}
     if cfg["flux"] not in FLUX_CATALOG:
         known = ", ".join(sorted(FLUX_CATALOG))
         raise ConfigError(f"unknown flux '{cfg['flux']}' (known: {known})")

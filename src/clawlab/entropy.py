@@ -92,7 +92,11 @@ def kinetic_density(
     sign of u_minus - u_plus; exactly 0 for u_minus == u_plus.
     """
     um, up = np.asarray(u_minus, dtype=float), np.asarray(u_plus, dtype=float)
-    sigma = _chord_speeds(flux, um, up)
+    return _float_or_array(_defect(flux, um, up, _chord_speeds(flux, um, up), a))
+
+
+def _defect(flux: ConvexFlux, um, up, sigma, a) -> np.ndarray:
+    """kinetic_density of the jumps (um, up) whose chord speeds are sigma."""
     lo, hi = np.minimum(um, up), np.maximum(um, up)
     raw = np.asarray(a, dtype=float)
     # Levels at or beyond the jump interval carry no defect; force the
@@ -100,7 +104,7 @@ def kinetic_density(
     arr = np.clip(raw, lo, hi)
     lm, lp = np.minimum(um, arr), np.minimum(up, arr)
     out = (flux.f(lp) - flux.f(lm)) - sigma * (lp - lm)
-    return _float_or_array(np.where((raw <= lo) | (raw >= hi), 0.0, out))
+    return np.where((raw <= lo) | (raw >= hi), 0.0, out)
 
 
 def jump_ep_rate(flux: ConvexFlux, u_minus: ArrayLike, u_plus: ArrayLike) -> ArrayLike:
@@ -118,13 +122,16 @@ def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
 
     All jump intervals go through quadrature.gauss_panels at once with
     absolute tolerance tol. Uses f and the chord speed only, never the
-    antiderivative F.
+    antiderivative F; the chord speeds are computed once, not per pass.
     """
     um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
-    return gauss_panels(
-        lambda a, rows: kinetic_density(flux, um[rows, None, None], up[rows, None, None], a),
-        np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0,
-    )
+    sigma = _chord_speeds(flux, um, up)
+
+    def density(a, rows):
+        col = (rows, None, None)
+        return _defect(flux, um[col], up[col], sigma[col], a)
+
+    return gauss_panels(density, np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0)
 
 
 def jump_ep_rate_kinetic(

@@ -472,3 +472,30 @@ def test_non_finite_float_key_exits_2_with_one_message(tmp_path, capsys, command
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag, key", [("--tol-ep", "tolerances.ep"), ("--delta-u", "delta_u")])
+def test_non_finite_flag_exits_2_with_the_config_key_message(tmp_path, capsys, flag, key, value):
+    # --tol-ep inf used to pass every EP check, and --tol-ep nan to fail them all
+    cfg = write_cfg(tmp_path, "c.json", {"initial": {"kind": "fixture", "name": "two_shock_merge"}})
+    assert run(["ep", "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("econd", {"initial": RIEMANN_01, "t_end": 1.0, "times": [0.5, float("nan")]},
+         "times[1]"),
+        ("fv", {"initial": SHOCK_10, "t_end": 0.5, "n_cells": 50,
+                "snapshot_times": [float("nan")]}, "snapshot_times[0]"),
+        ("delta-audit", {"pairs": [[1.0, 0.0], [0.5, float("nan")]]}, "pairs[1][1]"),
+    ],
+)
+def test_non_finite_list_entry_exits_2_with_one_message(tmp_path, capsys, command, cfg, key):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,7 @@
 """Flux catalog: closed forms, inverses, conjugates, and their oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,29 @@ def test_poly4_inverse_without_closed_form():
     assert u == pytest.approx(1.2, abs=1e-10)
     arr = inverse_derivative(fl, np.array([0.0, 1.776, -1.776]))
     assert np.allclose(arr, [0.0, 1.2, -1.2], atol=1e-9)
+
+
+def test_poly4_closed_forms_match_exact_rationals():
+    # Each form adds two same-signed terms. A term carries at most five
+    # roundings of relative size eps / 2 (u^5 as u^3 * u^2, then / 60) and
+    # the sum one more, so the relative error stays below 3 eps + O(eps^2).
+    fl = poly4_flux(2.0)
+    grid = np.linspace(-fl.domain_radius, fl.domain_radius, 4001)
+    grid = grid[grid != 0.0]
+    exact = {
+        "f": lambda q: q * q / 2 + q**4 / 12,
+        "df": lambda q: q + q**3 / 3,
+        "antiderivative_F": lambda q: q**3 / 6 + q**5 / 60,
+        "antiderivative_G": lambda q: q**3 / 3 + q**5 / 15,
+    }
+    eps = np.finfo(float).eps
+    for name, form in exact.items():
+        got = getattr(fl, name)(grid)
+        worst = 0.0
+        for u, v in zip(grid.tolist(), got.tolist()):
+            want = form(Fraction(u))
+            worst = max(worst, float(abs(Fraction(v) - want) / abs(want)))
+        assert worst <= 4 * eps, (name, worst / eps)
 
 
 def test_with_radius_rescopes_band():
