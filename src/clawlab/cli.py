@@ -80,7 +80,9 @@ _INITIAL_SCHEMA = {
     "kind": str,
     "u_l": float,
     "u_r": float,
-    "xs": list,
+    "xs": [float],
+    # entries are checked by _resolve_initial, so that a non-finite state
+    # gets the one state message of _flux_for
     "us": list,
     "name": str,
 }
@@ -108,7 +110,7 @@ _SCHEMAS = {
     "rate-compare": _FAMILY,
     "econd": {**_TRACKED, "times": [float], "slack": float, "expect": str},
     "hopflax": {**_STEP, "t": float, "x_lo": float, "x_hi": float, "n_samples": int},
-    "fv": {**_STEP, "t_end": float, "n_cells": int, "nu": float, "n_list": list,
+    "fv": {**_STEP, "t_end": float, "n_cells": int, "nu": float, "n_list": [int],
            "snapshot_times": [float]},
     "splice": {
         **_TRACKED,
@@ -198,6 +200,9 @@ def _resolve_initial(cfg: dict) -> tuple[list[float], list[float], float | None]
     if kind == "piecewise":
         if "xs" not in init or "us" not in init:
             raise ConfigError("initial.kind=piecewise needs initial.xs and initial.us")
+        for i, u in enumerate(init["us"]):
+            if not isinstance(u, float):
+                _check_value(f"initial.us[{i}]", u, float)
         xs = [float(x) for x in init["xs"]]
         us = [float(u) for u in init["us"]]
         if len(us) != len(xs) + 1:
@@ -657,7 +662,7 @@ def cmd_fv(cfg: dict) -> int:
             state_from_data(flux, xs, us), flux, t_end, rarefaction_step=delta
         )
         study = convergence_study(
-            flux, xs, us, t_end, [int(n) for n in cfg["n_list"]], reference, nu=nu
+            flux, xs, us, t_end, cfg["n_list"], reference, nu=nu
         )
         write_json(out / "fv_convergence.json", study)
         order = study["fitted_order"]

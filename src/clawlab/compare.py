@@ -1,4 +1,13 @@
-"""L1 comparison helpers shared by the oracle cross-checks."""
+"""Step functions: the one reader of step data, and L1 distances.
+
+Step data (xs, us) is a step function on the real line: us[i] is the
+value on (xs[i-1], xs[i]), and us[0] and us[-1] extend to -inf and +inf.
+It is legal when len(us) == len(xs) + 1, every entry is finite, and the
+breakpoints do not decrease; a repeated breakpoint is a piece of zero
+width. step_data enforces this for every entry point that takes (xs, us),
+step_values evaluates the left limit (at x = xs[i] it gives us[i]), and
+step_primitive integrates with the outer values as tail slopes.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +15,59 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import FluxRangeError, InvariantViolation
+
+
+def step_data(xs, us) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, us) as new float arrays; illegal data raise FluxRangeError."""
+    xs = np.array(xs, dtype=float)
+    us = np.array(us, dtype=float)
+    if us.size != xs.size + 1:
+        raise FluxRangeError(
+            f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
+        )
+    for name, arr in (("xs", xs), ("us", us)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+    if np.any(np.diff(xs) < 0.0):
+        raise FluxRangeError("breakpoints must be non-decreasing")
+    return xs, us
+
+
+def step_values(xs: np.ndarray, us: np.ndarray, x):
+    """Left-limit value of legal step data at every point of x."""
+    out = us[np.searchsorted(xs, np.asarray(x, dtype=float), side="left")]
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def step_primitive(xs: np.ndarray, us: np.ndarray, y):
+    """Integral of legal step data, zero at xs[0] (at 0 if there is none)."""
+    y = np.asarray(y, dtype=float)
+    if xs.size == 0:
+        out = us[0] * y
+    else:
+        knots = np.concatenate(([0.0], np.cumsum(us[1:-1] * np.diff(xs))))
+        out = np.interp(y, xs, knots)
+        out += np.where(y < xs[0], (y - xs[0]) * us[0], 0.0)
+        out += np.where(y > xs[-1], (y - xs[-1]) * us[-1], 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def l1_steps(
     xs_a: np.ndarray, vals_a: np.ndarray, xs_b: np.ndarray, vals_b: np.ndarray
 ) -> float:
     """Exact L1 distance between two step functions with equal tails."""
-    vals_a = np.asarray(vals_a, dtype=float)
-    vals_b = np.asarray(vals_b, dtype=float)
+    xs_a, vals_a = step_data(xs_a, vals_a)
+    xs_b, vals_b = step_data(xs_b, vals_b)
     if vals_a[0] != vals_b[0] or vals_a[-1] != vals_b[-1]:
         raise InvariantViolation("step functions must agree at infinity")
-    cuts = np.unique(np.concatenate([np.asarray(xs_a), np.asarray(xs_b)]))
+    cuts = np.unique(np.concatenate([xs_a, xs_b]))
     if cuts.size < 2:
         return 0.0
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    ua = vals_a[np.searchsorted(xs_a, mids, side="left")]
-    ub = vals_b[np.searchsorted(xs_b, mids, side="left")]
+    ua = step_values(xs_a, vals_a, mids)
+    ub = step_values(xs_b, vals_b, mids)
     return float(np.dot(np.abs(ua - ub), np.diff(cuts)))
 
 
@@ -40,8 +85,7 @@ def l1_step_vs_fn(
     split at the step breakpoints, so the only error left is the kinks of
     |difference| inside cells.
     """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+    xs, vals = step_data(xs, vals)
     cuts = np.unique(np.concatenate(([lo, hi], xs[(lo < xs) & (xs < hi)])))
     counts = np.maximum(4, np.ceil(np.diff(cuts) / max_cell).astype(int))
     # every cell of every piece at once: its piece, its index in the piece
@@ -49,7 +93,7 @@ def l1_step_vs_fn(
     index = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)
     width = (np.diff(cuts) / counts)[piece]
     mids = cuts[piece] + (index + 0.5) * width
-    u_step = vals[np.searchsorted(xs, mids, side="left")]
+    u_step = step_values(xs, vals, mids)
     return float(np.dot(np.abs(u_step - np.asarray(fn(mids))), width))
 
 

@@ -45,6 +45,11 @@ from .riemann import Shock, WaveFan
 
 ArrayLike = float | np.ndarray
 
+_KINETIC_TOL = 1e-12  # absolute tolerance of the kinetic rates' level quadrature
+_PAIR_SAMPLES, _PAIR_TOL = 257, 1e-5  # validate_pair's audit
+_FAN_SAMPLES = 33  # points per rarefaction in check_e_condition_fan
+_N_LEVELS = 33  # Chebyshev levels per front in check_entropy_inequality
+
 
 # ---------------------------------------------------------------------------
 # jump-local densities and rates
@@ -117,12 +122,12 @@ def jump_ep_rate(flux: ConvexFlux, u_minus: ArrayLike, u_plus: ArrayLike) -> Arr
     return _float_or_array(trap + F_plus - F_minus)
 
 
-def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
+def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus) -> np.ndarray:
     """Signed (row 0) and absolute (row 1) a-integrals of kinetic_density per jump.
 
     All jump intervals go through quadrature.gauss_panels at once with
-    absolute tolerance tol. Uses f and the chord speed only, never the
-    antiderivative F; the chord speeds are computed once, not per pass.
+    absolute tolerance _KINETIC_TOL. Uses f and the chord speed only, never
+    the antiderivative F; the chord speeds are computed once, not per pass.
     """
     um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
     sigma = _chord_speeds(flux, um, up)
@@ -131,24 +136,21 @@ def _kinetic_rates(flux: ConvexFlux, u_minus, u_plus, tol: float) -> np.ndarray:
         col = (rows, None, None)
         return _defect(flux, um[col], up[col], sigma[col], a)
 
-    return gauss_panels(density, np.minimum(um, up), np.abs(um - up), atol=tol, rtol=0.0)
+    lo, width = np.minimum(um, up), np.abs(um - up)
+    return gauss_panels(density, lo, width, atol=_KINETIC_TOL, rtol=0.0)
 
 
-def jump_ep_rate_kinetic(
-    flux: ConvexFlux, u_minus: float, u_plus: float, tol: float = 1e-12
-) -> float:
+def jump_ep_rate_kinetic(flux: ConvexFlux, u_minus: float, u_plus: float) -> float:
     """Signed rate recomputed by level quadrature of kinetic_density.
 
     Independent of the antiderivative F; used to cross-check jump_ep_rate.
     """
-    return float(_kinetic_rates(flux, u_minus, u_plus, tol)[0, 0])
+    return float(_kinetic_rates(flux, u_minus, u_plus)[0, 0])
 
 
-def jump_abs_ep_rate_kinetic(
-    flux: ConvexFlux, u_minus: float, u_plus: float, tol: float = 1e-12
-) -> float:
+def jump_abs_ep_rate_kinetic(flux: ConvexFlux, u_minus: float, u_plus: float) -> float:
     """Quadrature of |kinetic_density|, the level-wise absolute rate."""
-    return float(_kinetic_rates(flux, u_minus, u_plus, tol)[1, 0])
+    return float(_kinetic_rates(flux, u_minus, u_plus)[1, 0])
 
 
 def delta_density(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
@@ -208,9 +210,7 @@ def kruzhkov_pair(flux: ConvexFlux, a: float) -> EntropyPair:
     return EntropyPair(f"kruzhkov[a={a}]", eta=eta, xi=xi)
 
 
-def validate_pair(
-    pair: EntropyPair, flux: ConvexFlux, n: int = 257, tol: float = 1e-5
-) -> None:
+def validate_pair(pair: EntropyPair, flux: ConvexFlux) -> None:
     """Sampled compatibility audit xi' = eta' f' on the working band.
 
     Points where eta has a kink (one-sided slopes disagree, as for the
@@ -218,7 +218,7 @@ def validate_pair(
     """
     r = flux.domain_radius
     h = 1e-7 * max(1.0, r)
-    u = np.linspace(-r + 2 * h, r - 2 * h, n)
+    u = np.linspace(-r + 2 * h, r - 2 * h, _PAIR_SAMPLES)
     eta_r = (np.asarray(pair.eta(u + h)) - np.asarray(pair.eta(u))) / h
     eta_l = (np.asarray(pair.eta(u)) - np.asarray(pair.eta(u - h))) / h
     smooth = np.abs(eta_r - eta_l) < 1e-3
@@ -226,7 +226,7 @@ def validate_pair(
     want = 0.5 * (eta_r + eta_l) * np.asarray(flux.df(u))
     err = np.abs(xi_c - want)[smooth]
     scale = max(1.0, float(np.max(np.abs(want))))
-    if err.size and float(np.max(err)) > tol * scale:
+    if err.size and float(np.max(err)) > _PAIR_TOL * scale:
         raise FluxRangeError(
             f"entropy pair {pair.name!r} incompatible with flux {flux.name!r}: "
             f"max sampled residual {float(np.max(err)):.3e}"
@@ -391,7 +391,7 @@ def _state_econd_samples(state):
 
 
 def check_e_condition_fan(
-    fan: WaveFan, t: float, c: float | None = None, slack: float = 0.0, n_samples: int = 33
+    fan: WaveFan, t: float, c: float | None = None, slack: float = 0.0
 ) -> EConditionReport:
     """E-condition for a fan sampled at time t > 0."""
     if c is None:
@@ -408,7 +408,7 @@ def check_e_condition_fan(
         if isinstance(w, Shock):
             zero_pairs.append((w.sigma * t, w.u_minus, w.u_plus))
         else:
-            omegas = np.linspace(w.omega_lo, w.omega_hi, n_samples)
+            omegas = np.linspace(w.omega_lo, w.omega_hi, _FAN_SAMPLES)
             xs += list(omegas * t)
             us += list(np.asarray(inverse_derivative(fan.flux, omegas), dtype=float))
     return _econd_core(np.asarray(xs), np.asarray(us), zero_pairs, t, c, slack)
@@ -424,7 +424,7 @@ class FrontAdmissibility:
     compact_support_ok: bool
 
 
-def check_entropy_inequality(state, flux: ConvexFlux, n_levels: int = 33):
+def check_entropy_inequality(state, flux: ConvexFlux):
     """Per-front admissibility report for a tracked snapshot.
 
     A front is entropic when it descends; the kinetic density sampled at
@@ -441,7 +441,7 @@ def check_entropy_inequality(state, flux: ConvexFlux, n_levels: int = 33):
             reports.append(FrontAdmissibility(i, um, up, True, True, True))
             continue
         lo, hi = min(um, up), max(um, up)
-        inside, outside = chebyshev_levels(lo, hi, n_levels)
+        inside, outside = chebyshev_levels(lo, hi, _N_LEVELS)
         k_in = np.asarray(kinetic_density(flux, um, up, inside))
         k_out = np.asarray(kinetic_density(flux, um, up, outside))
         tol = 1e-12 * max(1.0, float(np.max(np.abs(k_in))) if k_in.size else 1.0)
@@ -576,7 +576,7 @@ def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
     )
 
 
-def total_ep_kinetic(traj, window: Window, tol: float = 1e-12) -> float:
+def total_ep_kinetic(traj, window: Window) -> float:
     """Absolute EP recomputed through level-space quadrature of |k(a)|.
 
     Fully independent of the closed-form rate: the densities of all front
@@ -584,7 +584,7 @@ def total_ep_kinetic(traj, window: Window, tol: float = 1e-12) -> float:
     each then weighted by the lifetime's in-window duration.
     """
     _, um, up, _, lo, hi = _rows_inside(traj, window)
-    return _left_sum(_kinetic_rates(traj.flux, um, up, tol)[1] * (hi - lo))
+    return _left_sum(_kinetic_rates(traj.flux, um, up)[1] * (hi - lo))
 
 
 def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> float:

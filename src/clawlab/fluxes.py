@@ -30,6 +30,7 @@ from .errors import DegenerateChordError, FluxRangeError
 from .quadrature import gauss_panels, vector_bisect_newton
 
 ArrayLike = float | np.ndarray
+_AUDIT_SAMPLES, _AUDIT_TOL = 4001, 1e-7  # validate_flux's sampled audit
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def chord_slope(flux: ConvexFlux, a: float, b: float) -> float:
     return float(chord_slopes(flux, a, b))
 
 
-def validate_flux(flux: ConvexFlux, n: int = 4001, tol: float = 1e-7) -> None:
+def validate_flux(flux: ConvexFlux) -> None:
     """Sampled consistency audit on the working band.
 
     Checks f(0) = 0 normalization of the antiderivatives, monotonicity and
@@ -284,7 +285,7 @@ def validate_flux(flux: ConvexFlux, n: int = 4001, tol: float = 1e-7) -> None:
     F', G' with f and u f' through centered differences.
     """
     r = flux.domain_radius
-    u = np.linspace(-r, r, n)
+    u = np.linspace(-r, r, _AUDIT_SAMPLES)
     fp = np.asarray(flux.df(u), dtype=float)
     du = u[1] - u[0]
     quot = np.diff(fp) / du
@@ -304,7 +305,7 @@ def validate_flux(flux: ConvexFlux, n: int = 4001, tol: float = 1e-7) -> None:
     scale = max(1.0, float(np.max(np.abs(f_vals))), float(np.max(np.abs(g_vals))))
     err_f = float(np.max(np.abs(dF - f_vals))) / scale
     err_g = float(np.max(np.abs(dG - g_vals))) / scale
-    if err_f > tol or err_g > tol:
+    if err_f > _AUDIT_TOL or err_g > _AUDIT_TOL:
         raise FluxRangeError(
             f"flux {flux.name!r}: antiderivative audit failed "
             f"(F residual {err_f:.2e}, G residual {err_g:.2e})"

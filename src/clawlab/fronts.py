@@ -35,14 +35,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compare import l1_steps
+from .compare import l1_steps, step_data, step_values
 from .errors import (
     ClawError,
     EventCascadeError,
     FluxRangeError,
     InvariantViolation,
 )
-from .fluxes import ConvexFlux, chord_slope, chord_slopes
+from .fluxes import ConvexFlux, _check_band, chord_slope, chord_slopes
 from .riemann import (
     ENTROPIC_SHOCK,
     EXPANSION_SHOCK,
@@ -73,9 +73,7 @@ class FrontState:
 
     def value_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """Left-limit evaluation of the step function."""
-        idx = np.searchsorted(self.positions, np.asarray(x, dtype=float), side="left")
-        out = self.states[idx]
-        return float(out) if np.ndim(x) == 0 else out
+        return step_values(self.positions, self.states, x)
 
     def to_step(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.positions), np.array(self.states)
@@ -260,12 +258,7 @@ def front_state(
         )
     if np.any(np.diff(pos) < 0.0):
         raise InvariantViolation(f"front positions must be non-decreasing: {pos}")
-    inside = np.abs(vals) <= flux.domain_radius + 1e-12
-    if not inside.all():
-        raise FluxRangeError(
-            f"state {float(vals[np.argmin(inside)])} outside the band "
-            f"[-{flux.domain_radius}, {flux.domain_radius}]"
-        )
+    _check_band(flux, vals, "state")
     flat = np.flatnonzero(vals[:-1] == vals[1:])
     if flat.size:
         i = int(flat[0])
@@ -295,25 +288,21 @@ def front_state(
 def state_from_data(flux: ConvexFlux, xs, us, time: float = 0.0) -> FrontState:
     """Snapshot straight from step-function data.
 
-    us[i] is the value on (xs[i-1], xs[i]). Zero-width pieces (repeated
-    breakpoints) carry no mass in L1 and are dropped first, so a repeated
-    breakpoint becomes one jump from the value on its left to the value on
-    its right; then zero jumps are dropped.
+    us[i] is the value on (xs[i-1], xs[i]); illegal data (compare.step_data)
+    raise FluxRangeError. Zero-width pieces (repeated breakpoints) carry no
+    mass in L1 and are dropped first, so a repeated breakpoint becomes one
+    jump from the value on its left to the value on its right; then zero
+    jumps are dropped.
     """
-    xs = list(map(float, xs))
-    us = list(map(float, us))
     if len(us) != len(xs) + 1:
         raise InvariantViolation(
             f"{len(xs)} breakpoints need {len(xs) + 1} values, got {len(us)}"
         )
-    pos: list[float] = []
-    vals: list[float] = [us[0]]
-    for i, (x, u) in enumerate(zip(xs, us[1:])):
-        if u == vals[-1] or (i + 1 < len(xs) and xs[i + 1] == x):
-            continue
-        pos.append(x)
-        vals.append(u)
-    return front_state(flux, time, pos, vals)
+    xs, us = step_data(xs, us)
+    wide = np.diff(xs, append=np.inf) > 0.0
+    pos, vals = xs[wide], np.concatenate((us[:1], us[1:][wide]))
+    jump = vals[1:] != vals[:-1]
+    return front_state(flux, time, pos[jump], np.concatenate((vals[:1], vals[1:][jump])))
 
 
 def resolve_jump(

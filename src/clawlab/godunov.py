@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compare import observed_orders
+from .compare import fitted_order, l1_steps, observed_orders, step_data, step_primitive
 from .entropy import _as_pair, quadratic_pair
 from .errors import CFLError, FluxRangeError
 from .fluxes import ConvexFlux, _check_band, inverse_derivative
@@ -183,16 +183,10 @@ def _update(
 
 def cell_averages_from_step(xs, us, edges: np.ndarray) -> np.ndarray:
     """Exact cell averages of the step function (xs, us) on the grid."""
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    # Primitive of the step at the cell edges, then difference.
+    xs, us = step_data(xs, us)
     if xs.size == 0:
         return np.full(edges.size - 1, float(us[0]))
-    knots = np.concatenate(([0.0], np.cumsum(us[1:-1] * np.diff(xs))))
-    prim = np.interp(edges, xs, knots)
-    prim += np.where(edges < xs[0], (edges - xs[0]) * us[0], 0.0)
-    prim += np.where(edges > xs[-1], (edges - xs[-1]) * us[-1], 0.0)
-    return np.diff(prim) / np.diff(edges)
+    return np.diff(step_primitive(xs, us, edges)) / np.diff(edges)
 
 
 @dataclass(frozen=True)
@@ -261,17 +255,13 @@ def run_godunov(
 
     Snapshots are emitted at the first step reaching each requested time
     (the step is shortened to land exactly on it, CFL still honored). A
-    state outside the flux band, NaN included, raises FluxRangeError.
+    state outside the flux band, NaN included, raises FluxRangeError, and
+    so does any other illegal step data (compare.step_data).
     """
     if t_end < 0.0:
         raise FluxRangeError(f"t_end must be nonnegative, got {t_end}")
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
     _check_band(flux, us, "state")
-    if us.size != xs.size + 1:
-        raise FluxRangeError(
-            f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
-        )
+    xs, us = step_data(xs, us)
     span_lo = float(xs[0]) if xs.size else -1.0
     span_hi = float(xs[-1]) if xs.size else 1.0
     pad = t_end * max_char_speed(flux, us)
@@ -362,8 +352,6 @@ def convergence_study(
     reference is a trajectory exposing state_at(t); both sides are step
     functions with zero tails, so the distance integrates exactly.
     """
-    from .compare import fitted_order, l1_steps
-
     ref_xs, ref_vals = reference.state_at(t_end).to_step()
     errors = []
     widths = []

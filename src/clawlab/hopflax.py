@@ -7,8 +7,9 @@ If g0 is a primitive of the initial data, the value function
 solves the Hamilton-Jacobi equation dg/dt + f(dg/dx) = 0 in the
 viscosity sense, and its space derivative is the entropy solution of
 the conservation law with data u0 = g0'. Evaluation needs only the
-convex conjugate and the data, so this module shares no machinery with
-front tracking and serves as an independent oracle for it.
+convex conjugate and the data. Its only code in common with front
+tracking and Godunov is the reader of step data (compare.step_data and
+compare.step_primitive), so it serves as an independent oracle for both.
 
 For Lipschitz g0 with slopes in [-R, R], the minimizer y satisfies
 (x - y)/t in the characteristic speed range [f'(-R), f'(R)], which
@@ -36,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .compare import step_data, step_primitive
 from .errors import FluxRangeError
 from .fluxes import ConvexFlux, convex_conjugate
 
@@ -68,45 +70,17 @@ def potential_from_step(xs, us) -> PotentialData:
     """Piecewise-linear primitive of the step function (xs, us).
 
     us[i] is the value on (xs[i-1], xs[i]); the outer values extend as
-    the tail slopes. Anchored so g0(0) = 0. A non-finite entry of xs or
-    us raises FluxRangeError naming it.
+    the tail slopes. Anchored so g0(0) = 0. Illegal data (compare.step_data)
+    raise FluxRangeError, and a non-finite entry is named.
     """
-    xs = np.array(xs, dtype=float)
-    us = np.array(us, dtype=float)
-    if us.size != xs.size + 1:
-        raise FluxRangeError(
-            f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
-        )
-    for name, arr in (("xs", xs), ("us", us)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
-    if xs.size and np.any(np.diff(xs) < 0.0):
-        raise FluxRangeError("breakpoints must be non-decreasing")
-    bound = float(np.max(np.abs(us)))
-    if xs.size == 0:
-        c = float(us[0])
-        return PotentialData(g0=lambda y: c * np.asarray(y, dtype=float),
-                             lipschitz_bound=bound, breakpoints=xs, values=us)
-    # Values of the primitive at the breakpoints, then shift so g0(0)=0.
-    knots = np.concatenate(([0.0], np.cumsum(us[1:-1] * np.diff(xs))))
-    left_slope = float(us[0])
-    right_slope = float(us[-1])
-
-    def g_raw(y):
-        y = np.asarray(y, dtype=float)
-        inner = np.interp(y, xs, knots)
-        below = np.where(y < xs[0], (y - xs[0]) * left_slope, 0.0)
-        above = np.where(y > xs[-1], (y - xs[-1]) * right_slope, 0.0)
-        return inner + below + above
-
-    shift = float(g_raw(0.0))
+    xs, us = step_data(xs, us)
+    shift = step_primitive(xs, us, 0.0) if xs.size else 0.0
 
     def g0(y):
-        out = g_raw(y) - shift
-        return float(out) if np.ndim(y) == 0 else out
+        return step_primitive(xs, us, y) - shift
 
-    return PotentialData(g0=g0, lipschitz_bound=bound, breakpoints=xs, values=us)
+    return PotentialData(g0=g0, lipschitz_bound=float(np.max(np.abs(us))),
+                         breakpoints=xs, values=us)
 
 
 def potential_from_state(state) -> PotentialData:

@@ -23,13 +23,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FanOrderingError, FluxRangeError, UnsupportedFamilyError
-from .fluxes import ConvexFlux, chord_slope, inverse_derivative
+from .fluxes import ConvexFlux, _check_band, chord_slope, inverse_derivative
 
 EXPANSION_SHOCK = "expansion_shock"
 RAREFACTION = "rarefaction"
 ENTROPIC_SHOCK = "entropic_shock"
 
 _SPEED_TOL = 1e-12
+_JSON_INDENT = 2
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,7 @@ def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
 
 def solve_riemann(flux: ConvexFlux, u_l: float, u_r: float) -> WaveFan:
     """Entropy solution of the Riemann problem (u_l, u_r)."""
-    for v in (u_l, u_r):
-        if not abs(v) <= flux.domain_radius + 1e-12:
-            raise FluxRangeError(
-                f"state {v} outside the band [-{flux.domain_radius}, "
-                f"{flux.domain_radius}]"
-            )
+    _check_band(flux, [u_l, u_r], "state")
     if u_l == u_r:
         waves: tuple[Wave, ...] = ()
     elif u_l > u_r:
@@ -350,8 +346,8 @@ def fan_to_dict(fan: WaveFan) -> dict:
     }
 
 
-def fan_to_json(fan: WaveFan, indent: int | None = 2) -> str:
-    return json.dumps(fan_to_dict(fan), indent=indent, sort_keys=True)
+def fan_to_json(fan: WaveFan) -> str:
+    return json.dumps(fan_to_dict(fan), indent=_JSON_INDENT, sort_keys=True)
 
 
 def fan_from_dict(flux: ConvexFlux, data: dict) -> WaveFan:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compare import step_values
 from .entropy import _Domain
 from .errors import ClawError, FluxRangeError, InvariantViolation, TangencyError
 from .fluxes import ConvexFlux
@@ -142,9 +143,7 @@ class LambdaTrace:
     crossings: list[Crossing] = field(default_factory=list)
 
     def value_at(self, s: float | np.ndarray):
-        idx = np.searchsorted(self.s_breaks, np.asarray(s, dtype=float), side="left")
-        out = self.values[idx]
-        return float(out) if np.ndim(s) == 0 else out
+        return step_values(self.s_breaks, self.values, s)
 
     @property
     def sup_norm(self) -> float:

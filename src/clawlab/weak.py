@@ -33,6 +33,8 @@ from .quadrature import leggauss
 from .fronts import Lifetimes
 from .riemann import Rarefaction, WaveFan, evaluate_fan, fan_breakpoints
 
+_N_GAUSS = 14  # Gauss-Legendre nodes per panel, in t and in omega
+
 # Tabulated antiderivative of the standard bump B(s) = exp(1 - 1/(1 - s^2)).
 _GRID = np.linspace(-1.0, 1.0, 160001)
 
@@ -108,10 +110,6 @@ class BumpTest:
     def t_support(self) -> tuple[float, float]:
         return (self.t0 - self.bt, self.t0 + self.bt)
 
-    @property
-    def x_support(self) -> tuple[float, float]:
-        return (self.x0 - self.ax, self.x0 + self.ax)
-
 
 def bump_battery(
     x_lo: float, x_hi: float, t_lo: float, t_hi: float
@@ -156,18 +154,18 @@ def default_battery_for(traj) -> list[BumpTest]:
     return bump_battery(lo - pad, hi + pad, traj.t_start, traj.t_end)
 
 
-def trajectory_weak_residual(traj, psi: BumpTest, n_gauss: int = 14) -> float:
+def trajectory_weak_residual(traj, psi: BumpTest) -> float:
     """Residual of a tracked trajectory against one bump."""
-    return _front_sum(traj.flux, traj.t_start, traj.lifetimes(), psi, n_gauss)
+    return _front_sum(traj.flux, traj.t_start, traj.lifetimes(), psi)
 
 
-def _front_sum(flux, t0, rows, psi: BumpTest, n_gauss: int = 14) -> float:
+def _front_sum(flux, t0, rows, psi: BumpTest) -> float:
     """One Gauss sum over front lifetimes x time panels x nodes.
 
     psi's time support is cut into at least four panels, none wider than
     bt/12; each lifetime integrates the panels clipped to its life.
     """
-    nodes, weights = leggauss(n_gauss)
+    nodes, weights = leggauss(_N_GAUSS)
     t_lo_psi, t_hi_psi = psi.t_support
     jumps_u = rows.u_plus - rows.u_minus
     lo = max(t_lo_psi, t0)
@@ -203,9 +201,9 @@ def trajectory_max_residual(traj, battery=None) -> float:
     return max(abs(_front_sum(traj.flux, traj.t_start, rows, psi)) for psi in battery)
 
 
-def _gauss_nodes(lo: float, hi: float, n_panels: int, n_gauss: int):
+def _gauss_nodes(lo: float, hi: float, n_panels: int):
     """Nodes and weights of n_panels equal Gauss panels on [lo, hi]."""
-    nodes, weights = leggauss(n_gauss)
+    nodes, weights = leggauss(_N_GAUSS)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     return (
@@ -214,9 +212,7 @@ def _gauss_nodes(lo: float, hi: float, n_panels: int, n_gauss: int):
     )
 
 
-def fan_weak_residual(
-    fan: WaveFan, psi: BumpTest, t_max: float, n_gauss: int = 14
-) -> float:
+def fan_weak_residual(fan: WaveFan, psi: BumpTest, t_max: float) -> float:
     """Residual of a self-similar fan on the strip (0, t_max].
 
     Each wave is a front born at the origin at its stored lower speed, so
@@ -234,18 +230,18 @@ def fan_weak_residual(
         u_minus=np.array([w.left_value for w in fan.waves], dtype=float),
         u_plus=np.array([w.right_value for w in fan.waves], dtype=float),
     )
-    total = _front_sum(fan.flux, 0.0, rows, psi, n_gauss)
+    total = _front_sum(fan.flux, 0.0, rows, psi)
     lo, hi = max(psi.t_support[0], 0.0), min(psi.t_support[1], t_max)
     if hi <= lo:
         return total
     n_t = max(4, int(np.ceil((hi - lo) / (psi.bt / 12.0))))
-    ts, w_t = _gauss_nodes(lo, hi, n_t, n_gauss)
+    ts, w_t = _gauss_nodes(lo, hi, n_t)
     ts = ts[:, None]
     for w in fan.waves:
         if not isinstance(w, Rarefaction):
             continue
         n_om = max(2, int(np.ceil((w.omega_hi - w.omega_lo) * hi / (psi.ax / 6.0))))
-        om, w_om = _gauss_nodes(w.omega_lo, w.omega_hi, n_om, n_gauss)
+        om, w_om = _gauss_nodes(w.omega_lo, w.omega_hi, n_om)
         u = np.asarray(evaluate_fan(fan, om), dtype=float)
         du = u - w.u_hi
         df = np.asarray(fan.flux.f(u), dtype=float) - float(fan.flux.f(w.u_hi))

@@ -499,3 +499,55 @@ def test_non_finite_list_entry_exits_2_with_one_message(tmp_path, capsys, comman
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
     assert not (tmp_path / "o").exists()
+
+
+UNSORTED = {"kind": "piecewise", "xs": [1.0, -1.0, 2.0], "us": [0.0, 0.5, -0.5, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("evolve", {"t_end": 0.5}),
+        ("ep", {"t_end": 0.5}),
+        ("econd", {"t_end": 0.5}),
+        ("fv", {"t_end": 0.5, "n_cells": 50}),
+        ("hopflax", {"t": 0.5}),
+        ("splice", {"t_end": 1.0, "domain": {"t1": 0.25, "t2": 1.0, "delta": 0.3}}),
+    ],
+)
+def test_unsorted_breakpoints_exit_2_with_one_message(tmp_path, capsys, command, extra):
+    # evolve used to name the front positions, and fv reported a CFL error
+    cfg = write_cfg(tmp_path, "c.json", {"initial": UNSORTED, **extra})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: breakpoints must be non-decreasing\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("fv", {"initial": SHOCK_10, "t_end": 0.5, "n_list": [50, float("nan")]},
+         "config key 'n_list[1]' must be an integer"),
+        ("fv", {"initial": SHOCK_10, "t_end": 0.5, "n_list": [50, 100.7]},
+         "config key 'n_list[1]' must be an integer"),
+        ("evolve", {"initial": {"kind": "piecewise", "xs": [float("nan"), 1.0],
+                                "us": [0.0, 1.0, 0.0]}, "t_end": 0.5},
+         "config key 'initial.xs[0]' must be a finite number"),
+        ("fv", {"initial": {"kind": "piecewise", "xs": [0.0, float("inf")],
+                            "us": [0.0, 1.0, 0.0]}, "t_end": 0.5},
+         "config key 'initial.xs[1]' must be a finite number"),
+        ("evolve", {"initial": {"kind": "piecewise", "xs": [0.0], "us": ["a", 0.0]},
+                    "t_end": 0.5},
+         "config key 'initial.us[0]' must be a finite number"),
+        ("hopflax", {"initial": {"kind": "piecewise", "xs": [0.0], "us": [1.0, True]}},
+         "config key 'initial.us[1]' must be a finite number"),
+    ],
+    ids=["n_list-nan", "n_list-fraction", "xs-nan", "xs-inf", "us-string", "us-bool"],
+)
+def test_step_data_and_cell_lists_fail_the_config_check(tmp_path, capsys, command, cfg, message):
+    # n_list [50, NaN] was a traceback and [50, 100.7] ran 100 cells; NaN xs
+    # wrote artifacts and exited 3; a string state was a traceback
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()

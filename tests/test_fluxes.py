@@ -304,3 +304,22 @@ def test_with_radius_rescopes_band():
         inverse_derivative(fl, 1.5)
     wider = fl.with_radius(2.0)
     assert inverse_derivative(wider, 1.5) == pytest.approx(1.5)
+
+
+def test_one_band_rule_for_snapshots_fans_and_chords():
+    # front_state and solve_riemann used to stop at R + 1e-12, inside the
+    # chord speeds' own band rule, so a state between the two was rejected
+    # when a snapshot was built but accepted during a run
+    fl = burgers_flux(1.0)
+    for u, ok in ((1.0 + 1.5e-12, True), (1.0 + 3e-12, False)):
+        calls = [
+            lambda: chord_slope(fl, u, 0.0),
+            lambda: solve_riemann(fl, u, 0.0),
+            lambda: front_state(fl, 0.0, [0.0], [u, 0.0]),
+        ]
+        for call in calls:
+            if ok:
+                call()
+            else:
+                with pytest.raises(FluxRangeError, match=f"state {u} outside the admissible band"):
+                    call()
