@@ -21,8 +21,20 @@ f(tail_left) - f(tail_right) per unit time.
 
 The step is cfl_dt, which bounds the speed over the whole band [-R, R]
 on purpose: a step from the data's hull raises the effective Courant
-number of a lone shock and changes every number. Every step still
-checks the CFL bound against the cells' own hull.
+number of a lone shock and changes every number.
+
+run_godunov's loop only advances cells: each step writes its cells into
+one row of a short history buffer. Once per chunk of steps, one array
+pass over the rows checks every step's CFL bound against the hull of its
+starting cells and books the per-step entropy production and the mass
+drift. No step reads these numbers, so they can come from the stored
+rows after the fact. The check is sound when deferred: the first
+offending step raises the same CFLError that an immediate check would,
+before run_godunov returns, so a violating run yields no result. A
+correct run never trips it: the scheme is monotone under the CFL bound
+(Crandall & Majda, Math. Comp. 34, 1980), so the cells stay in the
+data's hull, and cfl_dt bounds the whole band. godunov_step checks its
+one step at once.
 """
 
 from __future__ import annotations
@@ -129,15 +141,35 @@ def interface_flux(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
 def max_char_speed(flux: ConvexFlux, u) -> float:
     """Largest |f'| over the closed hull of the given states."""
     u = np.asarray(u, dtype=float)
-    lo = float(u.min())
-    hi = float(u.max())
-    return max(abs(float(flux.df(lo))), abs(float(flux.df(hi))))
+    return float(_hull_speed(flux, u.min(), u.max()))
+
+
+def _hull_speed(flux: ConvexFlux, lo, hi):
+    """Largest |f'| over [lo, hi], elementwise: f' is monotone, so an end
+    of the interval attains it."""
+    return np.maximum(np.abs(flux.df(lo)), np.abs(flux.df(hi)))
+
+
+def _check_cfl(flux: ConvexFlux, rows: np.ndarray, dts: np.ndarray, dx: float, nu: float):
+    """Raise CFLError for the first step whose dt breaks the CFL bound.
+
+    rows[i] holds the cells at the start of step i and dts[i] its dt; the
+    bound comes from the hull of those cells.
+    """
+    speed = _hull_speed(flux, rows.min(axis=1), rows.max(axis=1))
+    limit = nu * (dx / np.maximum(speed, 1e-300))
+    bad = dts > limit * (1.0 + 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CFLError(
+            f"dt={float(dts[i])} exceeds the CFL bound {float(limit[i])} (nu={nu}, dx={dx})"
+        )
 
 
 def cfl_dt(grid: Grid1D, flux: ConvexFlux) -> float:
     """Largest step honoring dt * max|f'| / dx <= nu, from [-R, R]."""
     R = flux.domain_radius
-    speed = max(abs(float(flux.df(-R))), abs(float(flux.df(R))))
+    speed = float(_hull_speed(flux, -R, R))
     if speed == 0.0:
         raise FluxRangeError("flux has no characteristic speed on the band")
     return grid.nu * grid.dx / speed
@@ -150,35 +182,25 @@ def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Gri
     """
     if dt is None:
         dt = cfl_dt(grid, flux)
-    padded = _padded(grid)
-    _update(padded, dt, grid.dx, grid.nu, flux, _sonic_state(flux))
-    return replace(grid, time=grid.time + dt, u=padded[1:-1])
+    _check_cfl(flux, grid.u[None, :], np.array([dt]), grid.dx, grid.nu)
+    u = np.empty(grid.n_cells)
+    _update(_padded(grid), u, dt, grid.dx, flux.f, _sonic_state(flux))
+    return replace(grid, time=grid.time + dt, u=u)
 
 
 def _padded(grid: Grid1D) -> np.ndarray:
     return np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
 
 
-def _update(
-    padded: np.ndarray, dt: float, dx: float, nu: float, flux: ConvexFlux, u_s: float
-) -> np.ndarray:
-    """The step kernel: advance the cells padded[1:-1] by dt in place.
+def _update(padded: np.ndarray, out: np.ndarray, dt: float, dx: float, f, u_s: float):
+    """The step kernel: write the cells padded[1:-1] advanced by dt to out.
 
-    The ends of padded hold the tails and are left alone. Returns the
-    n + 1 interface states; the first and last are the ghost states of
-    the boundary entropy flux.
+    The ends of padded hold the tails.
     """
-    u = padded[1:-1]
-    limit = dx / max(max_char_speed(flux, u), 1e-300)
-    if dt > nu * limit * (1.0 + 1e-12):
-        raise CFLError(
-            f"dt={dt} exceeds the CFL bound {nu * limit} (nu={nu}, dx={dx})"
-        )
-    f_cells = np.asarray(flux.f(padded))
+    f_cells = np.asarray(f(padded))
     states = _interface_states(padded[:-1], padded[1:], f_cells[:-1], f_cells[1:], u_s)
-    F = np.asarray(flux.f(states))
-    u -= (dt / dx) * (F[1:] - F[:-1])
-    return states
+    F = np.asarray(f(states))
+    np.subtract(padded[1:-1], (dt / dx) * (F[1:] - F[:-1]), out=out)
 
 
 def cell_averages_from_step(xs, us, edges: np.ndarray) -> np.ndarray:
@@ -211,35 +233,44 @@ def numerical_ep(grids, flux: ConvexFlux, pair=None) -> np.ndarray:
     for a lone entropic shock it approaches -D dt.
     """
     pair = quadratic_pair(flux) if pair is None else _as_pair(pair)
-    u_s = _sonic_state(flux)
-    eps = []
-    for before, after in zip(grids[:-1], grids[1:]):
-        # the outer interfaces (tail_left, u[0]) and (u[-1], tail_right)
-        ul = np.array([before.tail_left, before.u[-1]])
-        ur = np.array([before.u[0], before.tail_right])
-        ghosts = _interface_states(
-            ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), u_s
-        )
-        eps.append(_step_ep(
-            np.asarray(pair.eta(before.u)),
-            np.asarray(pair.eta(after.u)),
-            before.dx,
-            after.time - before.time,
-            pair.xi,
-            ghosts,
-        ))
-    return np.asarray(eps)
+    before, after = grids[:-1], grids[1:]
+    return _step_ledger(
+        np.stack([_padded(g) for g in grids]),
+        np.array([b.time - a.time for a, b in zip(before, after)], dtype=float),
+        np.array([g.dx for g in before], dtype=float),
+        flux,
+        pair,
+        _sonic_state(flux),
+    )
 
 
-def _step_ep(eta_before, eta_after, dx: float, dt: float, xi, states) -> float:
-    """Discrete entropy production of one step.
+def _step_ledger(rows: np.ndarray, dts, dx, flux: ConvexFlux, pair, u_s: float) -> np.ndarray:
+    """Discrete entropy production of each step of a sequence of padded rows.
 
-    states holds the interface states of the step; only its first and
-    last entries, the ghost states, enter the boundary entropy flux.
+    Step i takes the cells rows[i, 1:-1] to rows[i + 1, 1:-1] in dts[i];
+    the end columns hold the tails. Its production is the sum of
+    [eta(u_new) - eta(u_old)] dx plus dt times the numerical entropy flux
+    difference xi(right ghost) - xi(left ghost), the ghosts being the
+    interface states of (tail_left, u[0]) and (u[-1], tail_right) at the
+    step's start.
     """
-    d_eta = (eta_after - eta_before).sum() * dx
-    boundary = float(np.asarray(xi(states[-1]))) - float(np.asarray(xi(states[0])))
-    return float(d_eta) + dt * boundary
+    eta = np.asarray(pair.eta(rows[:, 1:-1]))
+    d_eta = (eta[1:] - eta[:-1]).sum(axis=1) * dx
+    ul, ur = rows[:-1, [0, -2]], rows[:-1, [1, -1]]
+    ghosts = _interface_states(ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), u_s)
+    xi = np.asarray(pair.xi(ghosts))
+    return d_eta + dts * (xi[:, 1] - xi[:, 0])
+
+
+def _chunk_steps(n_cells: int) -> int:
+    """Steps per chunk of run_godunov: its history buffer holds at most
+    131072 cells (1 MiB), and at most 64 steps share one pass.
+
+    A chunk's pass makes about 60 numpy calls whatever its size, so too
+    few steps per chunk pay that cost too often, and a buffer far past
+    the CPU's cache slows every pass over the rows.
+    """
+    return max(1, min(64, 131072 // n_cells))
 
 
 def run_godunov(
@@ -258,8 +289,8 @@ def run_godunov(
     state outside the flux band, NaN included, raises FluxRangeError, and
     so does any other illegal step data (compare.step_data).
     """
-    if t_end < 0.0:
-        raise FluxRangeError(f"t_end must be nonnegative, got {t_end}")
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise FluxRangeError(f"t_end must be finite and nonnegative, got {t_end}")
     _check_band(flux, us, "state")
     xs, us = step_data(xs, us)
     span_lo = float(xs[0]) if xs.size else -1.0
@@ -303,36 +334,43 @@ def run_godunov(
     dt_cfl = cfl_dt(grid, flux)
     u_s = _sonic_state(flux)
     pair = quadratic_pair(flux)
-    # The cells live in padded[1:-1] and are stepped in place; eta of the
-    # current cells carries over from the previous step.
-    padded = _padded(grid)
-    u = padded[1:-1]
-    eta_u = np.asarray(pair.eta(u))
+    # Step i of a chunk reads row i of hist and writes row i + 1; the end
+    # columns hold the tails. After each chunk one pass over the rows checks
+    # CFL and books EP and mass drift, and the last row becomes row 0.
+    chunk = _chunk_steps(n_cells)
+    hist = np.tile(_padded(grid), (chunk + 1, 1))
+    dts = np.empty(chunk)
     time = 0.0
     while time < t_end - 1e-14:
-        target = t_end
-        if w_idx < len(wanted):
-            target = min(target, wanted[w_idx])
-        dt = min(dt_cfl, target - time)
-        states = _update(padded, dt, dx, nu, flux, u_s)
-        eta_new = np.asarray(pair.eta(u))
-        t_new = time + dt
-        eps.append(_step_ep(eta_u, eta_new, dx, t_new - time, pair.xi, states))
-        eta_u = eta_new
-        time = t_new
-        times.append(time)
-        drift = max(drift, abs(float(u.sum()) * dx - mass0 - net_influx * time))
-        while w_idx < len(wanted) and time >= wanted[w_idx] - 1e-14:
-            snaps.append(replace(grid0, time=time, u=u.copy()))
-            w_idx += 1
+        k = 0
+        while k < chunk and time < t_end - 1e-14:
+            target = t_end
+            if w_idx < len(wanted):
+                target = min(target, wanted[w_idx])
+            dt = min(dt_cfl, target - time)
+            _update(hist[k], hist[k + 1, 1:-1], dt, dx, flux.f, u_s)
+            dts[k] = dt  # the CFL check reads dt, the EP the step's time difference
+            time = time + dt
+            times.append(time)
+            k += 1
+            while w_idx < len(wanted) and time >= wanted[w_idx] - 1e-14:
+                snaps.append(replace(grid0, time=time, u=hist[k, 1:-1].copy()))
+                w_idx += 1
+        cells = hist[: k + 1, 1:-1]
+        _check_cfl(flux, cells[:-1], dts[:k], dx, nu)
+        t_rows = np.asarray(times[-k - 1 :])
+        eps.append(_step_ledger(hist[: k + 1], np.diff(t_rows), dx, flux, pair, u_s))
+        mass = cells[1:].sum(axis=1) * dx
+        drift = max(drift, float(np.max(np.abs(mass - mass0 - net_influx * t_rows[1:]))))
+        hist[0] = hist[k]
     if eps:
-        grid = replace(grid0, time=time, u=u.copy())
+        grid = replace(grid0, time=time, u=hist[0, 1:-1].copy())
     return GodunovRun(
         flux_name=flux.name,
         grid0=grid0,
         grid=grid,
         step_times=np.asarray(times),
-        step_ep=np.asarray(eps),
+        step_ep=np.concatenate(eps) if eps else np.zeros(0),
         mass_drift=drift,
         snapshots=tuple(snaps),
     )

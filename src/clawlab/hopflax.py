@@ -93,8 +93,8 @@ def _minimize(
     data: PotentialData, flux: ConvexFlux, x, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimizer y and value g(x, t) at every point of x."""
-    if t <= 0.0:
-        raise FluxRangeError(f"Hopf-Lax evaluation needs t > 0, got {t}")
+    if not (np.isfinite(t) and t > 0.0):
+        raise FluxRangeError(f"Hopf-Lax evaluation needs a finite t > 0, got t = {t}")
     if data.breakpoints is None or data.values is None:
         raise FluxRangeError(
             "the Hopf-Lax oracle needs step data; build it with potential_from_step"

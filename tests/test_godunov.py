@@ -24,7 +24,7 @@ from clawlab import (
     run_godunov,
     state_from_data,
 )
-from clawlab import make_flux
+from clawlab import godunov, make_flux
 from clawlab.entropy import quadratic_pair
 from clawlab.errors import ConfigError, FluxRangeError
 from clawlab.fluxes import inverse_derivative
@@ -358,3 +358,125 @@ def test_run_matches_grid_per_step_reference(name, xs, us, snaps):
     for got, want in zip(run.snapshots, ref_snaps):
         assert got.time == want.time
         assert np.array_equal(got.u, want.u)
+
+
+# run_godunov books CFL, EP and mass drift once per chunk of steps; these
+# runs end on and around chunk boundaries and must still give the same
+# bits as the grid-per-step reference above.
+
+
+def reference_run(fl, xs, us, t_end, n_cells, snaps=()):
+    """The grid-per-step loop of test_run_matches_grid_per_step_reference."""
+    grid = run_godunov(fl, xs, us, t_end, n_cells).grid0
+    u_s = float(inverse_derivative(fl, 0.0))
+    pair = quadratic_pair(fl)
+    mass0 = grid.mass
+    net = float(fl.f(us[0])) - float(fl.f(us[-1]))
+    dt_cfl = cfl_dt(grid, fl)
+    times, eps, drift, ref_snaps = [0.0], [], 0.0, []
+    targets = sorted(snaps) + [t_end]
+    while grid.time < t_end - 1e-14:
+        target = next(s for s in targets if s > grid.time + 1e-14)
+        new = ref_step(grid, fl, min(dt_cfl, target - grid.time), u_s)
+        eps.append(ref_step_ep(grid, new, fl, pair, u_s))
+        grid = new
+        times.append(grid.time)
+        drift = max(drift, abs(grid.mass - mass0 - net * grid.time))
+        if any(abs(grid.time - s) <= 1e-14 for s in snaps):
+            ref_snaps.append(grid)
+    return grid, np.asarray(eps), np.asarray(times), drift, ref_snaps
+
+
+def assert_matches_reference(run, ref):
+    grid, eps, times, drift, ref_snaps = ref
+    assert np.array_equal(run.grid.u, grid.u)
+    assert run.grid.time == grid.time
+    assert np.array_equal(run.step_ep, eps)
+    assert np.array_equal(run.step_times, times)
+    assert run.mass_drift == drift
+    assert len(run.snapshots) == len(ref_snaps)
+    for got, want in zip(run.snapshots, ref_snaps):
+        assert got.time == want.time
+        assert np.array_equal(got.u, want.u)
+
+
+def t_end_for_steps(fl, xs, us, n_cells, steps, nu=0.9):
+    """A t_end that run_godunov reaches in the given number of steps.
+
+    The padded grid widens with t_end, so dx and the CFL step do too; this
+    solves t_end = (steps - 1/2) * cfl_dt for t_end.
+    """
+    band = max(abs(float(fl.df(-fl.domain_radius))), abs(float(fl.df(fl.domain_radius))))
+    span = xs[-1] - xs[0]
+    m = steps - 0.5
+    return m * nu * span / (band * (n_cells - 4) - 2.0 * m * nu * max_char_speed(fl, us))
+
+
+CHUNK_XS, CHUNK_US = [-0.6, 0.1, 0.7], [0.0, 0.5, -0.45, 0.3]
+# With unequal tails the drift grows with time; with equal ones it is
+# rounding, so its largest step can fall anywhere in a chunk.
+CHUNK_DATA = {"unequal_tails": CHUNK_US, "equal_tails": [0.0, 0.5, -0.45, 0.0]}
+
+
+@pytest.mark.parametrize("name", ["burgers", "cosh", "poly4"])
+@pytest.mark.parametrize("n_cells", [110, 4000])
+@pytest.mark.parametrize("offset", ["1", "K-1", "K", "K+1", "2K+1"])
+@pytest.mark.parametrize("tails", sorted(CHUNK_DATA))
+def test_run_matches_reference_around_chunk_boundaries(name, n_cells, offset, tails):
+    fl = make_flux(name, domain_radius=1.5)
+    chunk = godunov._chunk_steps(n_cells)
+    assert chunk == (64 if n_cells == 110 else 32)
+    steps = {"1": 1, "K-1": chunk - 1, "K": chunk, "K+1": chunk + 1, "2K+1": 2 * chunk + 1}
+    us = CHUNK_DATA[tails]
+    t_end = t_end_for_steps(fl, CHUNK_XS, us, n_cells, steps[offset])
+    run = run_godunov(fl, CHUNK_XS, us, t_end, n_cells)
+    assert run.step_ep.size == steps[offset]
+    assert_matches_reference(run, reference_run(fl, CHUNK_XS, us, t_end, n_cells))
+
+
+@pytest.mark.parametrize("name", ["burgers", "cosh", "poly4"])
+@pytest.mark.parametrize("n_cells", [110, 4000])
+def test_snapshots_on_the_last_step_of_a_chunk(name, n_cells):
+    fl = make_flux(name, domain_radius=1.5)
+    chunk = godunov._chunk_steps(n_cells)
+    t_end = t_end_for_steps(fl, CHUNK_XS, CHUNK_US, n_cells, 2 * chunk + 1)
+    times = run_godunov(fl, CHUNK_XS, CHUNK_US, t_end, n_cells).step_times
+    snaps = (float(times[chunk]), float(times[2 * chunk]))
+    run = run_godunov(fl, CHUNK_XS, CHUNK_US, t_end, n_cells, snapshot_times=snaps)
+    assert [s.time for s in run.snapshots] == [run.step_times[chunk], run.step_times[2 * chunk]]
+    assert_matches_reference(run, reference_run(fl, CHUNK_XS, CHUNK_US, t_end, n_cells, snaps))
+
+
+def test_deferred_cfl_check_raises_for_a_step_in_the_second_chunk(monkeypatch):
+    # The left tail sits on the band's edge, so every row's hull speed is the
+    # band speed and a step of 0.95 dx / speed breaks nu = 0.9 while staying
+    # monotone (no blow-up). Snapshots keep the first chunk's steps short, so
+    # the first offending step is the first step of the second chunk.
+    fl = burgers_flux(1.0)
+    xs, us, t_end, n_cells = [0.0], [1.0, 0.0], 0.3, 110
+    chunk = godunov._chunk_steps(n_cells)
+    plain = run_godunov(fl, xs, us, t_end, n_cells)
+    dt0 = float(plain.step_times[1])
+    snaps = tuple(0.5 * dt0 * (i + 1) for i in range(chunk))
+    big = dt0 / 0.9 * 0.95
+    monkeypatch.setattr(godunov, "cfl_dt", lambda grid, flux: big)
+    # the same steps through godunov_step, which checks each one at once
+    grid = plain.grid0
+    targets = list(snaps) + [t_end]
+    steps = 0
+    with pytest.raises(CFLError, match="exceeds the CFL bound") as immediate:
+        while True:
+            target = next(s for s in targets if s > grid.time + 1e-14)
+            grid = godunov_step(grid, fl, min(big, target - grid.time))
+            steps += 1
+    assert steps == chunk
+    with pytest.raises(CFLError, match="exceeds the CFL bound") as deferred:
+        run_godunov(fl, xs, us, t_end, n_cells, snapshot_times=snaps)
+    assert str(deferred.value) == str(immediate.value)
+    assert str(deferred.value).startswith(f"dt={big} ")
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+def test_run_rejects_non_finite_t_end(t_end):
+    with pytest.raises(FluxRangeError, match=f"t_end must be finite and nonnegative, got {t_end}"):
+        run_godunov(burgers_flux(), [0.0], [1.0, 0.0], t_end, 50)

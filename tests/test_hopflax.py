@@ -288,3 +288,17 @@ def test_narrow_piece_agrees_with_front_tracking_pointwise(name, xs, us):
     u_hl = sample_oracle(potential_from_step(xs, us), fl, pts, t, h)
     gap = np.abs(traj.state_at(t).value_at(pts) - u_hl)
     assert float(np.max(gap)) <= delta_u + 1e-5
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+@pytest.mark.parametrize("call", ["sample_oracle", "oracle_u", "hopf_lax_value"])
+def test_oracle_rejects_non_finite_time(call, t):
+    data = potential_from_step([0.0], [1.0, 0.0])
+    fl = burgers_flux()
+    calls = {
+        "sample_oracle": lambda: sample_oracle(data, fl, [0.1], t),
+        "oracle_u": lambda: oracle_u(data, fl, 0.1, t),
+        "hopf_lax_value": lambda: hopf_lax_value(data, fl, 0.1, t),
+    }
+    with pytest.raises(FluxRangeError, match=f"needs a finite t > 0, got t = {t}"):
+        calls[call]()
