@@ -146,8 +146,8 @@ def sample_oracle(
     data: PotentialData, flux: ConvexFlux, xs, t: float, h: float = 1e-6
 ) -> np.ndarray:
     """oracle_u at every point of xs, from one call for all 2n potentials."""
-    if h <= 0.0:
-        raise FluxRangeError(f"difference step must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0.0):
+        raise FluxRangeError(f"difference step h must be finite and positive, got h = {h}")
     xs = np.ravel(np.asarray(xs, dtype=float))
     g = _minimize(data, flux, np.concatenate((xs + h, xs - h)), t)[1]
     return (g[: xs.size] - g[xs.size :]) / (2.0 * h)

@@ -24,7 +24,7 @@ from clawlab import (
     run_godunov,
     state_from_data,
 )
-from clawlab import godunov, make_flux
+from clawlab import godunov, make_convex_flux, make_flux
 from clawlab.entropy import quadratic_pair
 from clawlab.errors import ConfigError, FluxRangeError
 from clawlab.fluxes import inverse_derivative
@@ -480,3 +480,115 @@ def test_deferred_cfl_check_raises_for_a_step_in_the_second_chunk(monkeypatch):
 def test_run_rejects_non_finite_t_end(t_end):
     with pytest.raises(FluxRangeError, match=f"t_end must be finite and nonnegative, got {t_end}"):
         run_godunov(burgers_flux(), [0.0], [1.0, 0.0], t_end, 50)
+
+
+# The step kernel takes the interface flux from the max rule
+# max(f(max(u_L, u_s)), f(min(u_R, u_s))), the literal reference above from
+# the interface state. They agree bit for bit whenever f(u_s) is the
+# floating-point minimum of f and f is monotone on each side of u_s. Every
+# catalog flux has u_s = 0 and f(0) = 0, so these two user fluxes move the
+# sonic state and its flux off zero.
+
+
+def shifted_quadratic(radius=1.5):
+    """f(u) = (u - 0.3)^2 / 2 + 0.1: sonic state 0.3, f(u_s) = 0.1."""
+    return make_convex_flux(
+        "shifted_quadratic",
+        f=lambda u: 0.5 * (np.asarray(u, dtype=float) - 0.3) ** 2 + 0.1,
+        df=lambda u: np.asarray(u, dtype=float) - 0.3,
+        ddf_lower_bound=1.0,
+        domain_radius=radius,
+        antiderivative_F=lambda u: ((np.asarray(u, dtype=float) - 0.3) ** 3 + 0.027) / 6.0
+        + 0.1 * np.asarray(u, dtype=float),
+        antiderivative_G=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0
+        - 0.15 * np.asarray(u, dtype=float) ** 2,
+        inv_df=lambda p: np.asarray(p, dtype=float) + 0.3,
+        ddf=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+    )
+
+
+def exp_flux(radius=1.5):
+    """f(u) = exp(u) - 2u: sonic state log 2, where f is not the
+    floating-point minimum of f."""
+    return make_convex_flux(
+        "exp",
+        f=lambda u: np.exp(u) - 2.0 * np.asarray(u, dtype=float),
+        df=lambda u: np.exp(u) - 2.0,
+        ddf_lower_bound=float(np.exp(-radius)),
+        domain_radius=radius,
+        inv_df=lambda p: np.log(np.asarray(p, dtype=float) + 2.0),
+        ddf=np.exp,
+    )
+
+
+def edge_case_grid(rng, flux, u_s, n_cells=64):
+    """Cells and tails drawn from u_s, states within 1e-8 of it (where f
+    is flattest), mirror pairs u_s +- a (shock ties f(u_L) = f(u_R) for a
+    flux symmetric about u_s) and uniform states, in runs of equal
+    neighbours."""
+    R = flux.domain_radius
+    a = rng.uniform(0.0, R - abs(u_s), 4)
+    near = u_s + rng.uniform(-1e-8, 1e-8, 2)
+    pool = np.concatenate(([u_s], near, u_s + a, u_s - a, rng.uniform(-R, R, 8)))
+    cells = np.repeat(rng.choice(pool, n_cells), rng.integers(1, 4, n_cells))[:n_cells]
+    tail_left, tail_right = rng.choice(pool, 2)
+    return Grid1D(
+        x_min=-1.0, x_max=1.0, n_cells=n_cells, nu=0.9, time=0.0,
+        u=cells, tail_left=float(tail_left), tail_right=float(tail_right),
+    )
+
+
+def edge_cases_hit(padded, f, u_s):
+    """Which edge cases the interfaces of a padded row contain."""
+    ul, ur = padded[:-1], padded[1:]
+    f_l, f_r = np.asarray(f(ul)), np.asarray(f(ur))
+    return {
+        "cell_at_sonic": bool(np.any(padded == u_s)),
+        "equal_neighbours": bool(np.any(ul == ur)),
+        "shock_tie": bool(np.any((ul > ur) & (f_l == f_r))),
+        "one_side": bool(np.any((ul - u_s) * (ur - u_s) > 0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["burgers", "cosh", "poly4", "shifted_quadratic", "exp"])
+def test_step_max_rule_matches_the_interface_state_reference(name):
+    fl = {"shifted_quadratic": shifted_quadratic, "exp": exp_flux}.get(
+        name, lambda: make_flux(name, domain_radius=1.5)
+    )()
+    u_s = float(inverse_derivative(fl, 0.0))
+    rng = np.random.default_rng(41)
+    hit = {}
+    for _ in range(200):
+        grid = edge_case_grid(rng, fl, u_s)
+        dt = cfl_dt(grid, fl)
+        got, want = godunov_step(grid, fl, dt), ref_step(grid, fl, dt, u_s)
+        padded = godunov._padded(grid)
+        for key, seen in edge_cases_hit(padded, fl.f, u_s).items():
+            hit[key] = hit.get(key, False) or seen
+        if name == "exp":
+            # f(u_s) is not the floating-point minimum, so an interface flux
+            # can differ from the reference's by one ulp of f
+            scale = float(np.max(np.abs(fl.f(padded))))
+            assert np.max(np.abs(got.u - want.u)) <= 2.0 * np.spacing(scale)
+        else:
+            assert np.array_equal(got.u, want.u)
+    if name == "exp":
+        del hit["shock_tie"]  # not symmetric about u_s: mirror pairs tie only by chance
+    assert all(hit.values()), hit
+
+
+SHIFTED_XS, SHIFTED_US = [-0.6, 0.1, 0.7, 0.9], [0.3, 0.8, -0.2, 0.3, 0.55]
+
+
+@pytest.mark.parametrize("n_cells", [110, 4000])
+@pytest.mark.parametrize("snaps", [(), (0.2, 0.55)], ids=["final", "snapshots"])
+def test_run_matches_reference_for_a_shifted_sonic_state(n_cells, snaps):
+    # u_s = 0.3 and f(u_s) = 0.1: the data hold cells at u_s and the
+    # mirror pair 0.8, -0.2 about it
+    fl = shifted_quadratic()
+    t_end = 0.8
+    run = run_godunov(fl, SHIFTED_XS, SHIFTED_US, t_end, n_cells, snapshot_times=snaps)
+    assert run.step_ep.size > godunov._chunk_steps(n_cells)
+    assert_matches_reference(
+        run, reference_run(fl, SHIFTED_XS, SHIFTED_US, t_end, n_cells, snaps)
+    )

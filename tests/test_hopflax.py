@@ -302,3 +302,17 @@ def test_oracle_rejects_non_finite_time(call, t):
     }
     with pytest.raises(FluxRangeError, match=f"needs a finite t > 0, got t = {t}"):
         calls[call]()
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-6])
+@pytest.mark.parametrize("call", ["sample_oracle", "oracle_u"])
+def test_oracle_rejects_a_non_finite_or_nonpositive_step(call, h):
+    # NaN once passed the h <= 0 guard and failed later with a slope error
+    data = potential_from_step([0.0], [1.0, 0.0])
+    fl = burgers_flux()
+    calls = {
+        "sample_oracle": lambda: sample_oracle(data, fl, [0.1], 1.0, h=h),
+        "oracle_u": lambda: oracle_u(data, fl, 0.1, 1.0, h=h),
+    }
+    with pytest.raises(FluxRangeError, match=f"step h must be finite and positive, got h = {h}"):
+        calls[call]()
