@@ -447,7 +447,7 @@ def cmd_evolve(cfg: dict) -> int:
             "weak_residual", ("weak_residual", residual <= tol, f"{residual!r} <= {tol!r}")
         )
     finally:
-        print(f"events={len(traj.events)} forced={len(traj.forced_events)}")
+        print(f"events={len(traj.events)}")
     return 0
 
 

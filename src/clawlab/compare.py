@@ -26,13 +26,18 @@ def step_data(xs, us) -> tuple[np.ndarray, np.ndarray]:
         raise FluxRangeError(
             f"need len(us) == len(xs) + 1, got {us.size} and {xs.size}"
         )
-    for name, arr in (("xs", xs), ("us", us)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+    check_finite("xs", xs)
+    check_finite("us", us)
     if np.any(np.diff(xs) < 0.0):
         raise FluxRangeError("breakpoints must be non-decreasing")
     return xs, us
+
+
+def check_finite(name: str, arr: np.ndarray) -> None:
+    """Raise FluxRangeError naming the first non-finite entry of arr."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
 
 
 def step_values(xs: np.ndarray, us: np.ndarray, x):

@@ -199,6 +199,8 @@ def quadratic_pair(flux: ConvexFlux) -> EntropyPair:
 
 def kruzhkov_pair(flux: ConvexFlux, a: float) -> EntropyPair:
     """One-sided Kruzhkov pair at level a: eta = (u - a)^+."""
+    if not np.isfinite(a):
+        raise FluxRangeError(f"Kruzhkov level a must be finite, got a = {a}")
 
     def eta(u: ArrayLike) -> ArrayLike:
         return np.maximum(np.asarray(u, dtype=float) - a, 0.0)
@@ -319,8 +321,11 @@ def _econd_core(
     c: float,
     slack: float,
 ) -> EConditionReport:
-    if t <= 0.0:
-        raise FluxRangeError(f"one-sided Lipschitz check needs t > 0, got {t}")
+    for name, v in (("t", t), ("c", c)):
+        if not 0.0 < v < np.inf:
+            raise FluxRangeError(f"one-sided Lipschitz check needs a finite {name} > 0, got {v}")
+    if not np.isfinite(slack):
+        raise FluxRangeError(f"one-sided Lipschitz slack must be finite, got {slack}")
     worst = -np.inf
     worst_pair = (np.nan, np.nan)
     if xs.size >= 2:

@@ -8,9 +8,7 @@ evolve loop advances a priority queue of pairwise collision events:
     replacing ascending jumps by staircases of rarefaction fragments that
     rise at most rarefaction_step each;
   * as_given mode merges colliding fronts into the single chord-speed
-    front, preserving non-entropic jumps indefinitely. Merging is always a
-    valid weak continuation for scalar convex flux, so the forced-entropic
-    fallback only triggers (and is logged) if a merge cannot be formed.
+    front, preserving non-entropic jumps indefinitely.
 
 The tracker holds positions, speeds, states and ids in numpy arrays, so
 an event costs interpreted work in the size of its collision group; moving
@@ -36,13 +34,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .compare import l1_steps, step_data, step_values
-from .errors import (
-    ClawError,
-    EventCascadeError,
-    FluxRangeError,
-    InvariantViolation,
-)
-from .fluxes import ConvexFlux, _check_band, chord_slope, chord_slopes
+from .errors import EventCascadeError, FluxRangeError, InvariantViolation
+from .fluxes import ConvexFlux, _check_band, chord_slopes
 from .riemann import (
     ENTROPIC_SHOCK,
     EXPANSION_SHOCK,
@@ -83,8 +76,7 @@ class FrontState:
 class EventRecord:
     time: float
     x: float
-    kind: str  # "collision" | "emission" | "uncover"
-    forced: bool = False
+    kind: str  # "collision" | "uncover"
 
 
 @dataclass(frozen=True)
@@ -130,17 +122,12 @@ class Trajectory:
     def t_start(self) -> float:
         return self.snapshots[0].time
 
-    @property
-    def forced_events(self) -> list[EventRecord]:
-        """Collisions whose as_given merge fell back to the entropic fan."""
-        return [e for e in self.events if e.forced]
-
     def event_times(self) -> list[float]:
         return [e.time for e in self.events]
 
     def state_at(self, t: float) -> FrontState:
         """Snapshot advanced to time t (last event snapshot, positions moved)."""
-        if t < self.t_start - _TIME_TOL or t > self.t_end + _TIME_TOL:
+        if not self.t_start - _TIME_TOL <= t <= self.t_end + _TIME_TOL:
             raise FluxRangeError(
                 f"t={t} outside the trajectory span "
                 f"[{self.t_start}, {self.t_end}]"
@@ -323,17 +310,25 @@ def resolve_jump(
     return (chain, [RAREFACTION_FRAGMENT] * k)
 
 
+def _fragment_step(flux: ConvexFlux, rarefaction_step: float | None) -> float:
+    """rarefaction_step, 1% of the band radius by default; positive and finite."""
+    if rarefaction_step is None:
+        return 0.01 * flux.domain_radius
+    if not 0.0 < rarefaction_step < math.inf:
+        raise FluxRangeError(f"rarefaction_step must be positive and finite: {rarefaction_step}")
+    return rarefaction_step
+
+
 def from_fan(fan: WaveFan, t: float, rarefaction_step: float | None = None) -> FrontState:
     """Discretize a fan at time t > 0 into a tracked snapshot.
 
     Shocks keep their speed; each rarefaction becomes a staircase whose
     fragments sit at their own chord speeds times t.
     """
-    if t <= 0.0:
-        raise FluxRangeError(f"fan discretization needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise FluxRangeError(f"fan discretization needs a finite t > 0, got {t}")
     flux = fan.flux
-    if rarefaction_step is None:
-        rarefaction_step = 0.01 * flux.domain_radius
+    rarefaction_step = _fragment_step(flux, rarefaction_step)
     pos: list[float] = []
     vals: list[float] = [fan.left_state]
     kinds: list[str] = []
@@ -553,22 +548,14 @@ class _Tracker:
     def _apply_collision(self, p: int, q: int, x: float, t_end: float) -> None:
         u_left = float(self.vals[p])
         u_right = float(self.vals[q + 1])
-        forced = False
         if self.mode == "entropic":
             chain, kinds = resolve_jump(self.flux, u_left, u_right, self.step)
+        elif u_left == u_right:
+            chain, kinds = [u_left], []
         else:
-            try:
-                if u_left == u_right:
-                    chain, kinds = ([u_left], [])
-                else:
-                    chain = [u_left, u_right]
-                    kinds = [_label(u_left, u_right)]
-                    chord_slope(self.flux, u_left, u_right)
-            except ClawError:
-                chain, kinds = resolve_jump(self.flux, u_left, u_right, self.step)
-                forced = True
+            chain, kinds = [u_left, u_right], [_label(u_left, u_right)]
         first, last = self.replace_group(p, q, x, chain, kinds)
-        self.events.append(EventRecord(self.t, x, "collision", forced))
+        self.events.append(EventRecord(self.t, x, "collision"))
         self.snapshots.append(self.snapshot())
         for i in range(first - 1, last + 1):
             self.push_pair(i, t_end)
@@ -611,10 +598,7 @@ def evolve(
         raise FluxRangeError(
             f"t_end={t_end} must be finite and not precede the initial time {initial.time}"
         )
-    if rarefaction_step is None:
-        rarefaction_step = 0.01 * flux.domain_radius
-    if not 0.0 < rarefaction_step < math.inf:
-        raise FluxRangeError(f"rarefaction_step must be positive and finite: {rarefaction_step}")
+    rarefaction_step = _fragment_step(flux, rarefaction_step)
     start = initial
     if mode == "entropic":
         start = entropic_resolve_state(flux, initial, rarefaction_step)

@@ -66,7 +66,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compare import fitted_order, l1_steps, observed_orders, step_data, step_primitive
+from .compare import check_finite, fitted_order, l1_steps, observed_orders
+from .compare import step_data, step_primitive
 from .entropy import _as_pair, quadratic_pair
 from .errors import CFLError, FluxRangeError
 from .fluxes import ConvexFlux, _check_band, inverse_derivative
@@ -201,10 +202,13 @@ def cfl_dt(grid: Grid1D, flux: ConvexFlux) -> float:
 def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Grid1D:
     """One conservative update with zero ghost cells.
 
-    dt defaults to the CFL-limited step; passing a larger dt raises.
+    dt defaults to the CFL-limited step; passing a larger dt raises, and
+    so does a negative or non-finite one.
     """
     if dt is None:
         dt = cfl_dt(grid, flux)
+    if not 0.0 <= dt < np.inf:
+        raise FluxRangeError(f"dt must be finite and nonnegative, got dt = {dt}")
     _check_cfl(flux, grid.u[None, :], np.array([dt]), grid.dx, grid.nu)
     u = np.empty(grid.n_cells)
     u_s = _sonic_state(flux)
@@ -234,6 +238,7 @@ def _update(
 def cell_averages_from_step(xs, us, edges: np.ndarray) -> np.ndarray:
     """Exact cell averages of the step function (xs, us) on the grid."""
     xs, us = step_data(xs, us)
+    check_finite("edges", edges)
     if xs.size == 0:
         return np.full(edges.size - 1, float(us[0]))
     return np.diff(step_primitive(xs, us, edges)) / np.diff(edges)
@@ -344,7 +349,7 @@ def run_godunov(
     grid0 = grid
     wanted = sorted(float(t) for t in snapshot_times)
     for t in wanted:
-        if t < 0.0 or t > t_end + 1e-12:
+        if not 0.0 <= t <= t_end + 1e-12:
             raise FluxRangeError(f"snapshot time {t} outside [0, {t_end}]")
     mass0 = grid.mass
     # With tail ghosts, mass changes by exactly the net boundary flux.

@@ -32,8 +32,7 @@ compare pointwise only away from fronts, and otherwise in L1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,45 +41,38 @@ from .errors import FluxRangeError
 from .fluxes import ConvexFlux, convex_conjugate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialData:
-    """Primitive of the initial data, anchored at g0(0) = 0.
+    """The step data (breakpoints, values) and its primitive g0.
 
-    breakpoints and values are the step data g0 integrates (values[i] is
-    the slope of g0 on the i-th piece). potential_from_step fills them
-    in; the oracle needs them.
+    values[i] is the value on (breakpoints[i-1], breakpoints[i]) and the
+    slope of g0 there; the outer values extend as the tail slopes. Both
+    are read by compare.step_data, so illegal data raise FluxRangeError
+    and a non-finite entry is named.
     """
 
-    g0: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
-    breakpoints: np.ndarray | None = field(default=None, compare=False)
-    values: np.ndarray | None = field(default=None, compare=False)
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.lipschitz_bound < 0.0:
-            raise FluxRangeError(
-                f"lipschitz_bound must be nonnegative, got {self.lipschitz_bound}"
-            )
-        anchor = float(np.asarray(self.g0(0.0)))
-        if abs(anchor) > 1e-12:
-            raise FluxRangeError(f"g0(0) must vanish, got {anchor}")
+        xs, us = step_data(self.breakpoints, self.values)
+        object.__setattr__(self, "breakpoints", xs)
+        object.__setattr__(self, "values", us)
+
+    def g0(self, y):
+        """The primitive, anchored so g0(0) = 0."""
+        xs, us = self.breakpoints, self.values
+        shift = step_primitive(xs, us, 0.0) if xs.size else 0.0
+        return step_primitive(xs, us, y) - shift
+
+    @property
+    def lipschitz_bound(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
 
 def potential_from_step(xs, us) -> PotentialData:
-    """Piecewise-linear primitive of the step function (xs, us).
-
-    us[i] is the value on (xs[i-1], xs[i]); the outer values extend as
-    the tail slopes. Anchored so g0(0) = 0. Illegal data (compare.step_data)
-    raise FluxRangeError, and a non-finite entry is named.
-    """
-    xs, us = step_data(xs, us)
-    shift = step_primitive(xs, us, 0.0) if xs.size else 0.0
-
-    def g0(y):
-        return step_primitive(xs, us, y) - shift
-
-    return PotentialData(g0=g0, lipschitz_bound=float(np.max(np.abs(us))),
-                         breakpoints=xs, values=us)
+    """Piecewise-linear primitive of the step function (xs, us)."""
+    return PotentialData(xs, us)
 
 
 def potential_from_state(state) -> PotentialData:
@@ -95,10 +87,6 @@ def _minimize(
     """Minimizer y and value g(x, t) at every point of x."""
     if not (np.isfinite(t) and t > 0.0):
         raise FluxRangeError(f"Hopf-Lax evaluation needs a finite t > 0, got t = {t}")
-    if data.breakpoints is None or data.values is None:
-        raise FluxRangeError(
-            "the Hopf-Lax oracle needs step data; build it with potential_from_step"
-        )
     xs, us = data.breakpoints, data.values
     x = np.ravel(np.asarray(x, dtype=float))[:, None]
     R = flux.domain_radius

@@ -9,9 +9,11 @@ The entropic solver produces the single admissible fan: one shock when
 u_l > u_r, one rarefaction when u_l < u_r. The family generator produces
 the non-entropic competitors used by the dissipation-rate comparisons:
 ascending chains of expansion shocks and partial rarefactions through
-chosen intermediate states. Descending data admits no multi-wave chain at
-all (adjacent descending chords always regress), which the generator
-reports as an unsupported family rather than an ordering bug.
+chosen intermediate states. Descending data admits no monotone chain
+(adjacent descending chords always regress), which the generator reports
+as an unsupported family rather than an ordering bug. Non-monotone chains
+exist: for Burgers data (1, 0) the chain 1 -> -0.5 -> 1.5 -> 0 has the
+ordered speeds 0.25, 0.5 and 0.75. The generator does not build them.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ def non_entropic_family(
     States u_l < s_1 < ... < s_k < u_r split the data into k+1 segments;
     wave_kinds marks each segment "expansion_shock" or "rarefaction". At
     least one expansion shock is required (otherwise the result is just the
-    entropic rarefaction, not a competitor). Descending data has no such
-    family and raises UnsupportedFamilyError.
+    entropic rarefaction, not a competitor). Descending data has no
+    monotone chain and raises UnsupportedFamilyError; it has non-monotone
+    ones (module docstring), which this generator does not build.
     """
     if not u_l < u_r:
         raise UnsupportedFamilyError(

@@ -108,6 +108,8 @@ def lambda0(flux: ConvexFlux, boundary_sup: float = 1.0) -> float:
     Reciprocal of the flux derivative at R + 1 + boundary_sup, a strict
     upper bound for every chord speed of states in the working band.
     """
+    if not np.isfinite(boundary_sup):
+        raise FluxRangeError(f"boundary_sup must be finite, got {boundary_sup}")
     reach = flux.domain_radius + 1.0 + abs(boundary_sup)
     return 1.0 / max(abs(float(flux.df(reach))), abs(float(flux.df(-reach))))
 

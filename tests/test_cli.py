@@ -155,7 +155,7 @@ def test_output_contract(tmp_path, capsys, command, payload, extra, code):
     others = [ln for ln in lines if not ln.startswith("wrote ")]
     assert others
     for ln in others:
-        assert re.fullmatch(r"\[(PASS|FAIL)\] [a-z0-9_]+: .+|events=\d+ forced=\d+", ln), ln
+        assert re.fullmatch(r"\[(PASS|FAIL)\] [a-z0-9_]+: .+|events=\d+", ln), ln
     failed = any(ln.startswith("[FAIL]") for ln in others)
     assert (code == 0) == (not failed)
     if code == 3:

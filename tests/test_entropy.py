@@ -270,6 +270,33 @@ def test_econd_needs_positive_time():
         check_e_condition_samples([0.0, 1.0], [0.0, 0.0], 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "t, c, slack, name",
+    [(np.nan, 1.0, 0.0, "t > 0"), (np.inf, 1.0, 0.0, "t > 0"), (-1.0, 1.0, 0.0, "t > 0"),
+     (1.0, np.nan, 0.0, "c > 0"), (1.0, 0.0, 0.0, "c > 0"), (1.0, -1.0, 0.0, "c > 0"),
+     (1.0, np.inf, 0.0, "c > 0"), (1.0, 1.0, np.nan, "slack"), (1.0, 1.0, np.inf, "slack")],
+)
+def test_econd_rejects_non_finite_parameters(t, c, slack, name):
+    """A NaN t passed the old t <= 0 guard and reported holds=True on data
+    that fail at t = 1; all three checks share the one rule."""
+    assert not check_e_condition_samples([0.0, 1e-9], [0.0, 1.0], 1.0, 1.0).holds
+    fl = burgers_flux()
+    with pytest.raises(FluxRangeError, match=name):
+        check_e_condition_samples([0.0, 1e-9], [0.0, 1.0], t, c, slack)
+    with pytest.raises(FluxRangeError, match=name):
+        check_e_condition_fan(solve_riemann(fl, 1.0, -1.0), t, c, slack)
+    if t == 1.0:
+        state = state_from_data(fl, [0.0], [0.0, 0.25], time=1.0)
+        with pytest.raises(FluxRangeError, match=name):
+            check_e_condition_state(state, c, slack)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+def test_kruzhkov_pair_rejects_non_finite_level(a):
+    with pytest.raises(FluxRangeError, match="level a"):
+        kruzhkov_pair(burgers_flux(), a)
+
+
 def test_per_front_admissibility_report():
     fl = burgers_flux()
     state = state_from_data(fl, [-1.0, 1.0], [1.0, 0.0, 0.8], time=0.5)

@@ -24,7 +24,7 @@ from clawlab import (
 )
 from clawlab.errors import FluxRangeError
 from clawlab.fluxes import chord_slope, chord_slopes
-from clawlab.fronts import Trajectory, front_state, l1_between_states, linf, mass
+from clawlab.fronts import FrontState, Trajectory, front_state, l1_between_states, linf, mass
 
 MASS_TOL = 1e-10
 
@@ -183,7 +183,6 @@ def test_as_given_collision_merges_by_chord():
     final = traj.state_at(2.0)
     assert final.n_fronts == 1
     assert final.speeds[0] == pytest.approx(chord_slope(fl, 0.0, -0.5))
-    assert traj.forced_events == []
 
 
 def test_evolve_rejects_unknown_mode():
@@ -399,3 +398,39 @@ def test_evolve_rejects_non_finite_horizon_and_step(t_end, step):
     state = state_from_data(fl, [0.0], [1.0, 0.0])
     with pytest.raises(FluxRangeError):
         evolve(state, fl, t_end, rarefaction_step=step)
+
+
+@pytest.mark.parametrize(
+    "states, name",
+    [([2.0, 0.5, -0.5], "state 2.0 outside"), ([np.nan, 0.5, -0.5], "state nan outside")],
+    ids=["out-of-band", "nan"],
+)
+def test_as_given_merge_of_illegal_states_raises_from_the_chord(states, name):
+    """A merge of two unequal in-band states always has a chord speed, so
+    an as_given collision fails only on an outer state that is NaN or
+    outside the band, and then with the band check of chord_slopes."""
+    fl = burgers_flux(1.0)
+    # hand-built, unvalidated: the expansion front at 0 catches the shock at 0.1
+    state = FrontState(0.0, np.array([0.0, 0.1]), np.array(states), np.array([1.0, 0.0]),
+                       ("expansion_shock", "entropic_shock"), np.array([0, 1]))
+    with pytest.raises(FluxRangeError, match=name) as err:
+        evolve(state, fl, 1.0, mode="as_given")
+    assert err.traceback[-2].name == "chord_slopes"
+
+
+def test_state_at_rejects_nan_time():
+    fl = burgers_flux()
+    traj = evolve(state_from_data(fl, [0.0], [1.0, 0.0]), fl, 1.0)
+    with pytest.raises(FluxRangeError, match="t=nan"):
+        traj.state_at(np.nan)
+
+
+@pytest.mark.parametrize(
+    "t, step, name",
+    [(np.nan, None, "t > 0"), (np.inf, None, "t > 0"), (1.0, np.nan, "rarefaction_step"),
+     (1.0, 0.0, "rarefaction_step")],
+)
+def test_from_fan_rejects_non_finite_time_and_step(t, step, name):
+    fan = solve_riemann(burgers_flux(), -1.0, 1.0)
+    with pytest.raises(FluxRangeError, match=name):
+        from_fan(fan, t, step)

@@ -82,6 +82,23 @@ def test_cfl_step_and_violation():
         godunov_step(grid, fl, dt=0.1)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -0.01])
+def test_step_rejects_negative_or_non_finite_dt(dt):
+    """NaN and negative dt passed the CFL check: NaN gave NaN cells and
+    -0.01 stepped back in time."""
+    grid = Grid1D(x_min=-1.0, x_max=1.0, n_cells=20, nu=0.5, time=0.0,
+                  u=np.linspace(-1.0, 1.0, 20))
+    with pytest.raises(FluxRangeError, match="dt"):
+        godunov_step(grid, burgers_flux(2.0), dt=dt)
+
+
+def test_cell_averages_reject_non_finite_edges():
+    edges = np.linspace(-1.0, 1.0, 9)
+    edges[3] = np.nan
+    with pytest.raises(FluxRangeError, match=r"edges\[3\] = nan"):
+        cell_averages_from_step([0.0], [1.0, 0.0], edges)
+
+
 def test_grid_validation():
     u = np.zeros(4)
     with pytest.raises(FluxRangeError):
@@ -165,6 +182,9 @@ def test_snapshots_land_on_requested_times():
     assert run.snapshots[1].time == pytest.approx(0.7, abs=1e-13)
     with pytest.raises(FluxRangeError):
         run_godunov(fl, [0.0], [1.0, 0.0], 1.0, 64, snapshot_times=(1.5,))
+    # NaN passed the old range guard and gave no snapshot and no error
+    with pytest.raises(FluxRangeError, match="snapshot time nan"):
+        run_godunov(fl, [0.0], [1.0, 0.0], 1.0, 64, snapshot_times=(0.5, np.nan))
 
 
 def test_run_rejects_bad_shapes():

@@ -19,6 +19,7 @@ from clawlab import (
     state_from_data,
 )
 from clawlab import convex_conjugate, make_flux
+from clawlab.compare import step_data
 from clawlab.errors import FluxRangeError
 
 
@@ -58,10 +59,6 @@ def test_potential_constant_data_and_validation():
         potential_from_step([0.0], [1.0])  # needs two values
     with pytest.raises(FluxRangeError):
         potential_from_step([1.0, 0.0], [1.0, 0.5, 0.0])
-    with pytest.raises(FluxRangeError):
-        PotentialData(g0=lambda y: y, lipschitz_bound=-1.0)
-    with pytest.raises(FluxRangeError):
-        PotentialData(g0=lambda y: y + 1.0, lipschitz_bound=1.0)
 
 
 @pytest.mark.parametrize(
@@ -76,6 +73,21 @@ def test_potential_constant_data_and_validation():
 def test_potential_rejects_non_finite_data(xs, us, name):
     with pytest.raises(FluxRangeError, match=name):
         potential_from_step(xs, us)
+
+
+@pytest.mark.parametrize(
+    "xs, us",
+    [([0.0], [1.0]), ([1.0, 0.0], [1.0, 0.5, 0.0]), ([0.0], [0.0, np.inf])],
+    ids=["lengths", "unsorted", "us-inf"],
+)
+def test_potential_data_reads_step_data_like_potential_from_step(xs, us):
+    with pytest.raises(FluxRangeError) as direct:
+        PotentialData(xs, us)
+    with pytest.raises(FluxRangeError) as built:
+        potential_from_step(xs, us)
+    with pytest.raises(FluxRangeError) as read:
+        step_data(xs, us)
+    assert str(direct.value) == str(built.value) == str(read.value)
 
 
 def test_value_needs_positive_time():
@@ -248,12 +260,6 @@ def test_sampling_matches_scalars_for_every_flux(name):
         for i, x in enumerate(pts):
             assert g[i] == hopf_lax_value(data, fl, float(x), t)
             assert u[i] == oracle_u(data, fl, float(x), t)
-
-
-def test_oracle_needs_step_data():
-    data = PotentialData(g0=lambda y: 0.5 * np.asarray(y), lipschitz_bound=0.5)
-    with pytest.raises(FluxRangeError):
-        hopf_lax_value(data, burgers_flux(), 0.0, 1.0)
 
 
 # Random step data with a piece narrower than 1% of the characteristic

@@ -72,6 +72,16 @@ def test_lambda0_and_domain_validation():
         validate_domain(dom_bad, fl, boundary_sup=0.5)
 
 
+@pytest.mark.parametrize("sup", [np.nan, np.inf])
+def test_lambda0_rejects_non_finite_boundary_sup(sup):
+    fl = burgers_flux(1.0)
+    with pytest.raises(FluxRangeError, match="boundary_sup"):
+        lambda0(fl, sup)
+    dom = TrapezoidDomain(t1=0.0, t2=1.0, delta=0.1, lambda_hat=0.39)
+    with pytest.raises(FluxRangeError, match="boundary_sup"):
+        validate_domain(dom, fl, boundary_sup=sup)
+
+
 def test_trace_flat_crossing_closed_form():
     fl = burgers_flux()
     traj = evolve(state_from_data(fl, [0.0], [1.0, 0.0]), fl, 1.5)
