@@ -63,6 +63,7 @@ from .fluxes import (
 from .fronts import (
     EventRecord,
     FrontState,
+    KindLabels,
     Trajectory,
     entropic_resolve_state,
     evolve,

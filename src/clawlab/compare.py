@@ -59,6 +59,19 @@ def step_primitive(xs: np.ndarray, us: np.ndarray, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _distinct_sorted(xs: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of finite xs, as np.unique gives them.
+
+    It is np.unique's sort and mask of repeats, without the import of
+    numpy.ma that np.unique makes on its first call.
+    """
+    xs = np.sort(xs)
+    keep = np.empty(xs.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
+
+
 def l1_steps(
     xs_a: np.ndarray, vals_a: np.ndarray, xs_b: np.ndarray, vals_b: np.ndarray
 ) -> float:
@@ -67,7 +80,7 @@ def l1_steps(
     xs_b, vals_b = step_data(xs_b, vals_b)
     if vals_a[0] != vals_b[0] or vals_a[-1] != vals_b[-1]:
         raise InvariantViolation("step functions must agree at infinity")
-    cuts = np.unique(np.concatenate([xs_a, xs_b]))
+    cuts = _distinct_sorted(np.concatenate([xs_a, xs_b]))
     if cuts.size < 2:
         return 0.0
     mids = 0.5 * (cuts[:-1] + cuts[1:])
@@ -91,7 +104,7 @@ def l1_step_vs_fn(
     |difference| inside cells.
     """
     xs, vals = step_data(xs, vals)
-    cuts = np.unique(np.concatenate(([lo, hi], xs[(lo < xs) & (xs < hi)])))
+    cuts = _distinct_sorted(np.concatenate(([lo, hi], xs[(lo < xs) & (xs < hi)])))
     counts = np.maximum(4, np.ceil(np.diff(cuts) / max_cell).astype(int))
     # every cell of every piece at once: its piece, its index in the piece
     piece = np.repeat(np.arange(counts.size), counts)

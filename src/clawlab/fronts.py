@@ -10,10 +10,13 @@ evolve loop advances a priority queue of pairwise collision events:
   * as_given mode merges colliding fronts into the single chord-speed
     front, preserving non-entropic jumps indefinitely.
 
-The tracker holds positions, speeds, states and ids in numpy arrays, so
-an event costs interpreted work in the size of its collision group; moving
-the fronts, splicing the group in and copying the snapshot are C-speed
-passes over the arrays.
+The tracker holds positions, speeds, states, kind codes and ids in numpy
+arrays, so an event costs interpreted work in the size of its collision
+group; moving the fronts and splicing the group in are C-speed passes over
+the arrays. Every event builds new arrays and never writes into old ones,
+so each event's snapshot keeps that event's arrays without a copy. A
+snapshot's kinds are a KindLabels: one uint8 code per front, read as the
+labels of a tuple.
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -29,6 +32,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -48,17 +52,91 @@ RAREFACTION_FRAGMENT = "rarefaction_fragment"
 _TIME_TOL = 1e-12
 _MAX_SIMULTANEOUS = 64
 
+# The label of each front kind code. It starts with the three kinds the
+# package emits; a label that a caller gives is appended the first time it
+# is seen, so a code keeps its label for the life of the process.
+_KIND_LABELS: list[str] = [ENTROPIC_SHOCK, EXPANSION_SHOCK, RAREFACTION_FRAGMENT]
+_KIND_CODES: dict[str, int] = {k: i for i, k in enumerate(_KIND_LABELS)}
+
+
+def _kind_code(label: str) -> int:
+    code = _KIND_CODES.get(label)
+    if code is None:
+        code = len(_KIND_LABELS)
+        if code > np.iinfo(np.uint8).max:
+            raise InvariantViolation(f"more than {code} front kinds; cannot add {label!r}")
+        _KIND_LABELS.append(label)
+        _KIND_CODES[label] = code
+    return code
+
+
+class KindLabels(Sequence):
+    """Front kinds of a snapshot: one uint8 code per front, read as labels.
+
+    A read-only sequence of str that iterates, indexes and compares equal
+    like the tuple of its labels. An integer index gives a label; a slice,
+    an index array or a boolean mask gives a KindLabels.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, labels):
+        """Codes of an iterable of str labels."""
+        self.codes = np.array([_kind_code(k) for k in labels], dtype=np.uint8)
+        self.codes.flags.writeable = False
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray) -> KindLabels:
+        """Wrap a uint8 code array, which becomes read-only."""
+        out = cls.__new__(cls)
+        codes.flags.writeable = False
+        out.codes = codes
+        return out
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return _KIND_LABELS[self.codes[i]]
+        return KindLabels.from_codes(self.codes[i])
+
+    def __iter__(self):
+        return map(_KIND_LABELS.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, KindLabels):
+            return self.codes.size == other.codes.size and bool(
+                np.all(self.codes == other.codes)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"KindLabels({tuple(self)!r})"
+
 
 @dataclass(frozen=True)
 class FrontState:
-    """Snapshot of a tracked solution: m fronts separating m + 1 states."""
+    """Snapshot of a tracked solution: m fronts separating m + 1 states.
+
+    kinds given as a tuple or list of labels is stored as a KindLabels.
+    """
 
     time: float
     positions: np.ndarray
     states: np.ndarray
     speeds: np.ndarray
-    kinds: tuple[str, ...]
+    kinds: KindLabels
     front_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kinds, KindLabels):
+            object.__setattr__(self, "kinds", KindLabels(self.kinds))
 
     @property
     def n_fronts(self) -> int:
@@ -236,7 +314,9 @@ def front_state(
     kinds=None,
     front_ids=None,
 ) -> FrontState:
-    """Build a validated snapshot; speeds are computed from chords."""
+    """Build a validated snapshot at a finite time; speeds are computed from chords."""
+    if not math.isfinite(time):
+        raise FluxRangeError(f"snapshot time must be finite: {time}")
     pos = np.asarray(positions, dtype=float)
     vals = np.asarray(states, dtype=float)
     if len(vals) != len(pos) + 1:
@@ -262,9 +342,11 @@ def front_state(
                 f"{speeds[i]}, {speeds[i + 1]}"
             )
     if kinds is None:
-        kinds = tuple(_label(float(vals[i]), float(vals[i + 1])) for i in range(len(pos)))
-    else:
-        kinds = tuple(kinds)
+        # _label of every front: entropic where the states descend
+        codes = np.where(
+            vals[:-1] > vals[1:], _KIND_CODES[ENTROPIC_SHOCK], _KIND_CODES[EXPANSION_SHOCK]
+        )
+        kinds = KindLabels.from_codes(codes.astype(np.uint8))
     if front_ids is None:
         front_ids = np.arange(len(pos), dtype=int)
     else:
@@ -279,7 +361,7 @@ def state_from_data(flux: ConvexFlux, xs, us, time: float = 0.0) -> FrontState:
     raise FluxRangeError. Zero-width pieces (repeated breakpoints) carry no
     mass in L1 and are dropped first, so a repeated breakpoint becomes one
     jump from the value on its left to the value on its right; then zero
-    jumps are dropped.
+    jumps are dropped. time must be finite.
     """
     if len(us) != len(xs) + 1:
         raise InvariantViolation(
@@ -299,8 +381,10 @@ def resolve_jump(
 
     Returns the state chain [u_l, ..., u_r] and one kind per front:
     a single entropic shock when descending, a staircase of fragments
-    rising at most rarefaction_step each when ascending.
+    rising at most rarefaction_step each when ascending. rarefaction_step
+    follows _fragment_step's rule.
     """
+    rarefaction_step = _fragment_step(flux, rarefaction_step)
     if u_l == u_r:
         return ([u_l], [])
     if u_l > u_r:
@@ -353,7 +437,9 @@ def entropic_resolve_state(
     Descending jumps stay single shocks; ascending jumps become fragment
     staircases emitted at the front's position. The step function is
     unchanged as an L1 object; only the front decomposition differs.
+    rarefaction_step follows _fragment_step's rule.
     """
+    rarefaction_step = _fragment_step(flux, rarefaction_step)
     pos: list[float] = []
     vals: list[float] = [float(state.states[0])]
     kinds: list[str] = []
@@ -398,12 +484,15 @@ def l1_between_states(a: FrontState, b: FrontState) -> float:
 class _Tracker:
     """State of the event loop, fronts held left to right in numpy arrays.
 
-    pos, speeds and ids have one entry per front and vals one more (the
-    states between them); kinds stays a list of labels. Moving every front
-    is one vectorized pos + speeds * dt, a snapshot is one copy per array,
-    and a collision or uncover splices its group in with one np.concatenate
-    per array. So an event costs interpreted work in the size of its group,
-    plus C-speed passes over the arrays. Heap entries hold Python scalars.
+    pos, speeds, kinds (uint8 codes into _KIND_LABELS) and ids have one
+    entry per front and vals one more (the states between them). Moving
+    every front is one vectorized pos + speeds * dt, and a collision or
+    uncover splices its group in with one np.concatenate per array. Both
+    build new arrays and never write into old ones, so a snapshot keeps the
+    current arrays as they are; only the final snapshot, which would share
+    all but pos with the last event's, copies. So an event costs
+    interpreted work in the size of its group, plus C-speed passes over the
+    arrays. Heap entries hold Python scalars.
     """
 
     def __init__(self, flux: ConvexFlux, snap: FrontState, mode: str, step: float):
@@ -413,7 +502,7 @@ class _Tracker:
         self.t = snap.time
         self.pos = np.array(snap.positions, dtype=float)
         self.vals = np.array(snap.states, dtype=float)
-        self.kinds = list(snap.kinds)
+        self.kinds = snap.kinds.codes
         self.speeds = np.array(snap.speeds, dtype=float)
         self.ids = np.array(snap.front_ids, dtype=int)
         self._next_id = int(self.ids.max()) + 1 if self.ids.size else 0
@@ -422,15 +511,13 @@ class _Tracker:
         self.snapshots: list[FrontState] = []
         self.events: list[EventRecord] = []
 
-    def snapshot(self) -> FrontState:
-        return FrontState(
-            time=self.t,
-            positions=self.pos.copy(),
-            states=self.vals.copy(),
-            speeds=self.speeds.copy(),
-            kinds=tuple(self.kinds),
-            front_ids=self.ids.copy(),
-        )
+    def snapshot(self, copy: bool = False) -> FrontState:
+        """The fronts now, holding the tracker's arrays unless copy is set."""
+        arrays = (self.pos, self.vals, self.speeds, self.kinds, self.ids)
+        if copy:
+            arrays = tuple(a.copy() for a in arrays)
+        pos, vals, speeds, kinds, ids = arrays
+        return FrontState(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
 
     def advance_to(self, t: float) -> None:
         dt = t - self.t
@@ -461,11 +548,11 @@ class _Tracker:
             self.push_pair(i, t_stop)
 
     def _pair_indices(self, id_l: int, id_r: int) -> tuple[int, int] | None:
-        hit = np.flatnonzero(self.ids == id_l)
-        if hit.size == 0:
+        ids = self.ids
+        if ids.size == 0:
             return None
-        i = int(hit[0])
-        if i + 1 >= self.ids.size or self.ids[i + 1] != id_r:
+        i = int((ids == id_l).argmax())
+        if ids[i] != id_l or i + 1 >= ids.size or ids[i + 1] != id_r:
             return None
         return (i, i + 1)
 
@@ -480,11 +567,12 @@ class _Tracker:
         k = len(chain) - 1
         vals = np.asarray(chain, dtype=float)
         speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
+        codes = np.array([_KIND_CODES[kind] for kind in kinds], dtype=np.uint8)
         ids = np.arange(self._next_id, self._next_id + k)
         self._next_id += k
         self.pos = np.concatenate((self.pos[:p], np.full(k, x), self.pos[q + 1 :]))
         self.speeds = np.concatenate((self.speeds[:p], speeds, self.speeds[q + 1 :]))
-        self.kinds[p : q + 1] = kinds
+        self.kinds = np.concatenate((self.kinds[:p], codes, self.kinds[q + 1 :]))
         self.ids = np.concatenate((self.ids[:p], ids, self.ids[q + 1 :]))
         self.vals = np.concatenate((self.vals[:p], vals, self.vals[q + 2 :]))
         return (p, p + k - 1)
@@ -543,7 +631,7 @@ class _Tracker:
                 )
             self._apply_collision(lo, hi, x, t_end)
         self.advance_to(t_end)
-        self.snapshots.append(self.snapshot())
+        self.snapshots.append(self.snapshot(copy=True))
 
     def _apply_collision(self, p: int, q: int, x: float, t_end: float) -> None:
         u_left = float(self.vals[p])

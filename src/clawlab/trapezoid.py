@@ -37,7 +37,9 @@ from .errors import ClawError, FluxRangeError, InvariantViolation, TangencyError
 from .fluxes import ConvexFlux
 from .fronts import (
     FrontState,
+    KindLabels,
     Trajectory,
+    _fragment_step,
     _track,
     entropic_resolve_state,
     front_state,
@@ -261,7 +263,7 @@ def _merge_states(
         dt = t_emit - base.time
         return (
             list(base.positions[sel] + dt * base.speeds[sel]),
-            [base.kinds[i] for i in np.where(sel)[0]],
+            base.kinds.codes[sel],
             list(base.front_ids[sel] + offset),
         )
 
@@ -286,10 +288,10 @@ def _merge_states(
             )
     positions = pos_l + pos_m + pos_r
     states = states_l + states_m[1:] + states_r[1:]
-    kinds = kinds_l + kinds_m + kinds_r
+    codes = np.concatenate((kinds_l, kinds_m, kinds_r))
     ids = ids_l + ids_m + ids_r
     # Drop zero-width jumps introduced by seam rounding.
-    keep_pos, keep_states, keep_kinds, keep_ids = [], [states[0]], [], []
+    keep_pos, keep_states, keep, keep_ids = [], [states[0]], [], []
     for j in range(len(positions)):
         if states[j + 1] == keep_states[-1]:
             continue
@@ -299,9 +301,10 @@ def _merge_states(
             x = keep_pos[-1]
         keep_pos.append(x)
         keep_states.append(states[j + 1])
-        keep_kinds.append(kinds[j])
+        keep.append(j)
         keep_ids.append(ids[j])
-    return front_state(flux, t_emit, keep_pos, keep_states, keep_kinds, keep_ids)
+    kinds = KindLabels.from_codes(codes[keep])
+    return front_state(flux, t_emit, keep_pos, keep_states, kinds, keep_ids)
 
 
 def trapezoid_splice(
@@ -317,10 +320,12 @@ def trapezoid_splice(
     boundary), so expansion shocks that lived inside Gamma are gone and
     entropy production over any window containing Gamma cannot increase
     beyond the staircase discretization of the re-solved rarefactions.
+    rarefaction_step, traj's by default, follows _fragment_step's rule.
     """
     flux = traj.flux
     if rarefaction_step is None:
         rarefaction_step = traj.rarefaction_step
+    rarefaction_step = _fragment_step(flux, rarefaction_step)
     state_sup = max(
         (float(np.max(np.abs(s.states))) for s in traj.snapshots), default=0.0
     )

@@ -1,9 +1,11 @@
-"""L1 helpers: the vectorized midpoint sum against its per-piece loop."""
+"""L1 helpers: the vectorized midpoint sum against its per-piece loop, and
+the breakpoint merge against np.unique."""
 
 import numpy as np
 import pytest
 
 from clawlab import l1_step_vs_fn
+from clawlab.compare import _distinct_sorted
 
 
 def loop_l1_step_vs_fn(xs, vals, fn, lo, hi, max_cell):
@@ -39,3 +41,19 @@ def test_l1_step_vs_fn_matches_per_piece_loop():
         # summation order differs; both are sums of O(1) terms of one sign
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
         assert len(calls) == 1
+
+
+def test_distinct_sorted_matches_np_unique_bit_for_bit():
+    """Repeated breakpoints and zeros of both signs, in random order: the
+    cut points are np.unique's, down to the sign of each zero."""
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        xs = np.round(rng.uniform(-1.0, 1.0, size=n), 1)
+        xs[rng.random(n) < 0.2] = 0.0
+        xs[rng.random(n) < 0.2] = -0.0
+        rng.shuffle(xs)
+        got, want = _distinct_sorted(xs), np.unique(xs)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

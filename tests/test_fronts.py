@@ -24,7 +24,15 @@ from clawlab import (
 )
 from clawlab.errors import FluxRangeError
 from clawlab.fluxes import chord_slope, chord_slopes
-from clawlab.fronts import FrontState, Trajectory, front_state, l1_between_states, linf, mass
+from clawlab.fronts import (
+    FrontState,
+    KindLabels,
+    Trajectory,
+    front_state,
+    l1_between_states,
+    linf,
+    mass,
+)
 
 MASS_TOL = 1e-10
 
@@ -434,3 +442,104 @@ def test_from_fan_rejects_non_finite_time_and_step(t, step, name):
     fan = solve_riemann(burgers_flux(), -1.0, 1.0)
     with pytest.raises(FluxRangeError, match=name):
         from_fan(fan, t, step)
+
+
+def test_kind_labels_read_like_the_tuple_of_their_labels():
+    labels = ("entropic_shock", "rarefaction_fragment", "expansion_shock", "rarefaction_fragment")
+    kinds = KindLabels(labels)
+    assert kinds.codes.dtype == np.uint8 and kinds.codes.shape == (4,)
+    assert kinds == labels and labels == kinds and hash(kinds) == hash(labels)
+    assert kinds != labels[:-1] and kinds != list(labels)
+    assert len(kinds) == 4 and tuple(kinds) == labels
+    assert all(type(k) is str for k in kinds)
+    assert kinds[0] == labels[0] and kinds[-1] == labels[-1] and kinds[-3] == labels[-3]
+    assert isinstance(kinds[1:3], KindLabels) and kinds[1:3] == labels[1:3]
+    assert kinds[::-1] == labels[::-1]
+    assert kinds[np.array([True, False, False, True])] == (labels[0], labels[3])
+    assert kinds[np.zeros(4, dtype=bool)] == ()
+    with pytest.raises(IndexError):
+        kinds[4]
+    with pytest.raises(ValueError):
+        kinds.codes[0] = 1
+
+
+@pytest.mark.parametrize(
+    "kinds", [("expansion_shock", "entropic_shock"), ["expansion_shock", "entropic_shock"]],
+    ids=["tuple", "list"],
+)
+def test_front_state_holds_given_kinds_as_kind_labels(kinds):
+    fl = burgers_flux()
+    built = FrontState(0.0, np.array([0.0, 1.0]), np.array([0.0, 1.0, 0.0]),
+                       np.array([0.5, 0.5]), kinds, np.array([0, 1]))
+    checked = front_state(fl, 0.0, [0.0, 1.0], [0.0, 1.0, 0.0], kinds)
+    for st in (built, checked):
+        assert isinstance(st.kinds, KindLabels)
+        assert st.kinds == ("expansion_shock", "entropic_shock")
+    assert FrontState(0.0, built.positions, built.states, built.speeds, built.kinds,
+                      built.front_ids).kinds is built.kinds
+
+
+def test_a_label_outside_the_catalog_survives_evolve():
+    """A kind the package never emits rides through the tracker's splices."""
+    fl = burgers_flux(2.0)
+    # the two right shocks merge at t = 2/3; the custom front at -3 stays apart
+    state = front_state(fl, 0.0, [-3.0, 0.0, 0.5], [0.5, 1.5, 1.0, 0.0],
+                        ["custom_front", "entropic_shock", "entropic_shock"])
+    traj = evolve(state, fl, 1.0, mode="as_given")
+    assert len(traj.events) == 1
+    assert traj.snapshots[0].kinds == ("custom_front", "entropic_shock", "entropic_shock")
+    for snap in traj.snapshots[1:]:
+        assert snap.kinds == ("custom_front", "entropic_shock")
+
+
+def test_as_given_fronts_that_all_cancel_leave_stale_heap_entries_harmless():
+    """The two right fronts merge at t = 1/4 into a stationary (1, -1) shock,
+    which meets both outer fronts at x = 0, t = 1/2. The outer states are
+    equal, so no front is left, while the heap still holds the stale pair
+    of the first two fronts for t = 3/4."""
+    fl = burgers_flux(2.0)
+    state = state_from_data(fl, [-0.25, -0.0625, 0.1875, 0.25], [0.0, 1.0, -0.5, -1.0, 0.0])
+    traj = evolve(state, fl, 1.0, mode="as_given")
+    assert [(e.time, e.x) for e in traj.events] == [(0.25, 0.0), (0.5, 0.0)]
+    final = traj.snapshots[-1]
+    assert final.n_fronts == 0 and final.kinds == () and list(final.states) == [0.0]
+
+
+def test_final_snapshot_copies_when_the_last_event_is_at_t_end():
+    """The two shocks of two_shock_merge meet exactly at t_end = 1, so the
+    final snapshot is taken at the last event's time and must not share
+    that event's arrays."""
+    sc = get_scenario("two_shock_merge")
+    fl = sc.make_flux("burgers")
+    traj = evolve(sc.initial_state(fl), fl, 1.0)
+    assert traj.events[-1].time == traj.t_end == 1.0
+    a, b = traj.snapshots[-2:]
+    assert a.time == b.time == 1.0
+    for x, y in zip(
+        (a.positions, a.states, a.speeds, a.kinds.codes, a.front_ids),
+        (b.positions, b.states, b.speeds, b.kinds.codes, b.front_ids),
+    ):
+        assert np.array_equal(x, y) and not np.shares_memory(x, y)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -0.1])
+def test_bad_rarefaction_step_raises_flux_range_error_everywhere(step):
+    fl = burgers_flux(1.5)
+    for u_l, u_r in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(FluxRangeError, match="rarefaction_step"):
+            resolve_jump(fl, u_l, u_r, step)
+    with pytest.raises(FluxRangeError, match="rarefaction_step"):
+        entropic_resolve_state(fl, state_from_data(fl, [], [0.0]), step)
+    traj = evolve(state_from_data(fl, [0.0], [0.0, 1.0]), fl, 1.0, mode="as_given")
+    dom = TrapezoidDomain(t1=0.2, t2=0.8, delta=0.5, lambda_hat=0.9 * lambda0(fl, 1.0))
+    with pytest.raises(FluxRangeError, match="rarefaction_step"):
+        trapezoid_splice(traj, dom, rarefaction_step=step)
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_snapshot_constructors_reject_non_finite_time(time):
+    fl = burgers_flux()
+    with pytest.raises(FluxRangeError, match="time"):
+        state_from_data(fl, [0.0], [1.0, 0.0], time=time)
+    with pytest.raises(FluxRangeError, match="time"):
+        front_state(fl, time, [0.0], [1.0, 0.0])
