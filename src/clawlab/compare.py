@@ -2,11 +2,12 @@
 
 Step data (xs, us) is a step function on the real line: us[i] is the
 value on (xs[i-1], xs[i]), and us[0] and us[-1] extend to -inf and +inf.
-It is legal when len(us) == len(xs) + 1, every entry is finite, and the
-breakpoints do not decrease; a repeated breakpoint is a piece of zero
-width. step_data enforces this for every entry point that takes (xs, us),
-step_values evaluates the left limit (at x = xs[i] it gives us[i]), and
-step_primitive integrates with the outer values as tail slopes.
+It is legal when len(us) == len(xs) + 1, every entry is finite
+(errors.check_finite), and the breakpoints do not decrease; a repeated
+breakpoint is a piece of zero width. step_data enforces this for every
+entry point that takes (xs, us), step_values evaluates the left limit (at
+x = xs[i] it gives us[i]), and step_primitive integrates with the outer
+values as tail slopes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FluxRangeError, InvariantViolation
+from .errors import FluxRangeError, InvariantViolation, check_finite
 
 
 def step_data(xs, us) -> tuple[np.ndarray, np.ndarray]:
@@ -31,13 +32,6 @@ def step_data(xs, us) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(xs) < 0.0):
         raise FluxRangeError("breakpoints must be non-decreasing")
     return xs, us
-
-
-def check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise FluxRangeError naming the first non-finite entry of arr."""
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise FluxRangeError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
 
 
 def step_values(xs: np.ndarray, us: np.ndarray, x):

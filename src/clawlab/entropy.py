@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FluxRangeError
+from .errors import FluxRangeError, check_finite, check_positive
 from .fluxes import ConvexFlux, chord_slopes, inverse_derivative
 from .quadrature import gauss_panels
 from .riemann import Shock, WaveFan
@@ -199,8 +199,7 @@ def quadratic_pair(flux: ConvexFlux) -> EntropyPair:
 
 def kruzhkov_pair(flux: ConvexFlux, a: float) -> EntropyPair:
     """One-sided Kruzhkov pair at level a: eta = (u - a)^+."""
-    if not np.isfinite(a):
-        raise FluxRangeError(f"Kruzhkov level a must be finite, got a = {a}")
+    check_finite("level a", a)
 
     def eta(u: ArrayLike) -> ArrayLike:
         return np.maximum(np.asarray(u, dtype=float) - a, 0.0)
@@ -321,11 +320,9 @@ def _econd_core(
     c: float,
     slack: float,
 ) -> EConditionReport:
-    for name, v in (("t", t), ("c", c)):
-        if not 0.0 < v < np.inf:
-            raise FluxRangeError(f"one-sided Lipschitz check needs a finite {name} > 0, got {v}")
-    if not np.isfinite(slack):
-        raise FluxRangeError(f"one-sided Lipschitz slack must be finite, got {slack}")
+    check_positive("t", t)
+    check_positive("c", c)
+    check_finite("slack", slack)
     worst = -np.inf
     worst_pair = (np.nan, np.nan)
     if xs.size >= 2:
@@ -399,6 +396,7 @@ def check_e_condition_fan(
     fan: WaveFan, t: float, c: float | None = None, slack: float = 0.0
 ) -> EConditionReport:
     """E-condition for a fan sampled at time t > 0."""
+    check_positive("t", t)
     if c is None:
         c = fan.flux.ddf_lower_bound
     xs: list[float] = []
@@ -542,11 +540,11 @@ class EntropyLedger:
     rows: list[LedgerRow] = field(default_factory=list)
     total_signed: float = 0.0
     total_abs: float = 0.0
-    mode: str = "abs"
 
     @property
     def total(self) -> float:
-        return self.total_abs if self.mode == "abs" else self.total_signed
+        """The absolute total, total_abs."""
+        return self.total_abs
 
 
 def _rows_inside(traj, window):
@@ -559,7 +557,7 @@ def _rows_inside(traj, window):
             lo[keep], hi[keep])
 
 
-def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
+def total_ep(traj, window: Window) -> EntropyLedger:
     """Entropy production ledger of a tracked trajectory over a window.
 
     Clips every front lifetime to the window (rectangle or trapezoid) and
@@ -567,8 +565,6 @@ def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
     lifetime that meets the window, the signed and absolute totals, and
     the per-front line density Delta.
     """
-    if mode not in ("abs", "signed"):
-        raise FluxRangeError(f"ledger mode must be 'abs' or 'signed', got {mode!r}")
     fid, um, up, sigma, lo, hi = _rows_inside(traj, window)
     rate = jump_ep_rate(traj.flux, um, up)
     cols = (fid, lo, hi, um, up, sigma, rate, np.abs(rate), delta_density(traj.flux, um, up))
@@ -577,7 +573,6 @@ def total_ep(traj, window: Window, mode: str = "abs") -> EntropyLedger:
         rows=[LedgerRow(*row) for row in zip(*(c.tolist() for c in cols))],
         total_signed=_left_sum(rate * (hi - lo)),
         total_abs=_left_sum(np.abs(rate) * (hi - lo)),
-        mode=mode,
     )
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateChordError, FluxRangeError
+from .errors import DegenerateChordError, FluxRangeError, check_positive
 from .quadrature import gauss_panels, vector_bisect_newton
 
 ArrayLike = float | np.ndarray
@@ -42,7 +42,7 @@ class ConvexFlux:
     name : identifier used by the CLI and serialization.
     f, df : vectorized flux and derivative.
     ddf_lower_bound : c > 0 with f'' >= c on the band.
-    domain_radius : R, half-width of the admissible state band.
+    domain_radius : R > 0, half-width of the admissible state band.
     antiderivative_F, antiderivative_G : vectorized F and G above.
     inv_df : closed-form inverse of df when available (else None; the
         generic inverse falls back to bracketed root finding).
@@ -59,10 +59,12 @@ class ConvexFlux:
     inv_df: Callable[[ArrayLike], ArrayLike] | None = None
     ddf: Callable[[ArrayLike], ArrayLike] | None = None
 
+    def __post_init__(self):
+        check_positive("ddf_lower_bound", self.ddf_lower_bound)
+        check_positive("domain_radius", self.domain_radius)
+
     def with_radius(self, radius: float) -> "ConvexFlux":
         """Same flux on a different working band."""
-        if not radius > 0.0:
-            raise FluxRangeError(f"domain_radius must be positive, got {radius}")
         return replace(self, domain_radius=float(radius))
 
 
@@ -95,12 +97,6 @@ def make_convex_flux(
     The fallback integrates all entries at once on quadrature.gauss_panels
     and raises QuadratureError where the integrand is too rough to settle.
     """
-    if not ddf_lower_bound > 0.0:
-        raise FluxRangeError(
-            f"strict convexity needs a positive ddf_lower_bound, got {ddf_lower_bound}"
-        )
-    if not domain_radius > 0.0:
-        raise FluxRangeError(f"domain_radius must be positive, got {domain_radius}")
     if antiderivative_F is None:
         antiderivative_F = _quadrature_antiderivative(f)
     if antiderivative_G is None:

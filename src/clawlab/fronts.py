@@ -39,6 +39,7 @@ import numpy as np
 
 from .compare import l1_steps, step_data, step_values
 from .errors import EventCascadeError, FluxRangeError, InvariantViolation
+from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux, _check_band, chord_slopes
 from .riemann import (
     ENTROPIC_SHOCK,
@@ -315,8 +316,7 @@ def front_state(
     front_ids=None,
 ) -> FrontState:
     """Build a validated snapshot at a finite time; speeds are computed from chords."""
-    if not math.isfinite(time):
-        raise FluxRangeError(f"snapshot time must be finite: {time}")
+    check_finite("time", time)
     pos = np.asarray(positions, dtype=float)
     vals = np.asarray(states, dtype=float)
     if len(vals) != len(pos) + 1:
@@ -381,10 +381,16 @@ def resolve_jump(
 
     Returns the state chain [u_l, ..., u_r] and one kind per front:
     a single entropic shock when descending, a staircase of fragments
-    rising at most rarefaction_step each when ascending. rarefaction_step
-    follows _fragment_step's rule.
+    rising at most rarefaction_step each when ascending. Both states must
+    lie in the flux band; rarefaction_step follows _fragment_step's rule.
     """
-    rarefaction_step = _fragment_step(flux, rarefaction_step)
+    _check_band(flux, u_l, "u_l")
+    _check_band(flux, u_r, "u_r")
+    return _resolve(u_l, u_r, _fragment_step(flux, rarefaction_step))
+
+
+def _resolve(u_l: float, u_r: float, rarefaction_step: float) -> tuple[list[float], list[str]]:
+    """resolve_jump for states in the band and a checked rarefaction_step."""
     if u_l == u_r:
         return ([u_l], [])
     if u_l > u_r:
@@ -398,8 +404,7 @@ def _fragment_step(flux: ConvexFlux, rarefaction_step: float | None) -> float:
     """rarefaction_step, 1% of the band radius by default; positive and finite."""
     if rarefaction_step is None:
         return 0.01 * flux.domain_radius
-    if not 0.0 < rarefaction_step < math.inf:
-        raise FluxRangeError(f"rarefaction_step must be positive and finite: {rarefaction_step}")
+    check_positive("rarefaction_step", rarefaction_step)
     return rarefaction_step
 
 
@@ -409,8 +414,7 @@ def from_fan(fan: WaveFan, t: float, rarefaction_step: float | None = None) -> F
     Shocks keep their speed; each rarefaction becomes a staircase whose
     fragments sit at their own chord speeds times t.
     """
-    if not 0.0 < t < math.inf:
-        raise FluxRangeError(f"fan discretization needs a finite t > 0, got {t}")
+    check_positive("t", t)
     flux = fan.flux
     rarefaction_step = _fragment_step(flux, rarefaction_step)
     pos: list[float] = []
@@ -422,7 +426,7 @@ def from_fan(fan: WaveFan, t: float, rarefaction_step: float | None = None) -> F
             vals.append(w.u_plus)
             kinds.append(w.kind)
         else:
-            chain, ks = resolve_jump(flux, w.u_lo, w.u_hi, rarefaction_step)
+            chain, ks = _resolve(w.u_lo, w.u_hi, rarefaction_step)
             pos.extend(chord_slopes(flux, chain[:-1], chain[1:]) * t)
             vals.extend(chain[1:])
             kinds.extend(ks)
@@ -444,9 +448,7 @@ def entropic_resolve_state(
     vals: list[float] = [float(state.states[0])]
     kinds: list[str] = []
     for i in range(state.n_fronts):
-        chain, ks = resolve_jump(
-            flux, float(state.states[i]), float(state.states[i + 1]), rarefaction_step
-        )
+        chain, ks = _resolve(float(state.states[i]), float(state.states[i + 1]), rarefaction_step)
         pos.extend([float(state.positions[i])] * (len(chain) - 1))
         vals.extend(chain[1:])
         kinds.extend(ks)
@@ -637,7 +639,7 @@ class _Tracker:
         u_left = float(self.vals[p])
         u_right = float(self.vals[q + 1])
         if self.mode == "entropic":
-            chain, kinds = resolve_jump(self.flux, u_left, u_right, self.step)
+            chain, kinds = _resolve(u_left, u_right, self.step)
         elif u_left == u_right:
             chain, kinds = [u_left], []
         else:
@@ -652,11 +654,11 @@ class _Tracker:
         """Inject boundary data at the moving edge of a trapezoid re-solve."""
         if side == "left":
             old = float(self.vals[0])
-            chain, kinds = resolve_jump(self.flux, new_value, old, self.step)
+            chain, kinds = _resolve(new_value, old, self.step)
             first, last = self.replace_group(0, -1, x, chain, kinds)
         else:
             old = float(self.vals[-1])
-            chain, kinds = resolve_jump(self.flux, old, new_value, self.step)
+            chain, kinds = _resolve(old, new_value, self.step)
             n = self.pos.size
             first, last = self.replace_group(n, n - 1, x, chain, kinds)
         self.events.append(EventRecord(self.t, x, "uncover"))

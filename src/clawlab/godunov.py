@@ -66,10 +66,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compare import check_finite, fitted_order, l1_steps, observed_orders
-from .compare import step_data, step_primitive
+from .compare import fitted_order, l1_steps, observed_orders, step_data, step_primitive
 from .entropy import _as_pair, quadratic_pair
-from .errors import CFLError, FluxRangeError
+from .errors import CFLError, FluxRangeError, check_finite
 from .fluxes import ConvexFlux, _check_band, inverse_derivative
 
 
@@ -95,6 +94,8 @@ class Grid1D:
             raise FluxRangeError(f"need at least 2 cells, got {self.n_cells}")
         if not (0.0 < self.nu <= 1.0):
             raise FluxRangeError(f"CFL number must lie in (0, 1], got {self.nu}")
+        for name in ("x_min", "x_max", "time", "tail_left", "tail_right"):
+            check_finite(name, getattr(self, name))
         if self.x_max <= self.x_min:
             raise FluxRangeError(
                 f"empty interval [{self.x_min}, {self.x_max}]"
@@ -322,7 +323,7 @@ def run_godunov(
     state outside the flux band, NaN included, raises FluxRangeError, and
     so does any other illegal step data (compare.step_data).
     """
-    if not (np.isfinite(t_end) and t_end >= 0.0):
+    if not 0.0 <= t_end < np.inf:
         raise FluxRangeError(f"t_end must be finite and nonnegative, got {t_end}")
     _check_band(flux, us, "state")
     xs, us = step_data(xs, us)

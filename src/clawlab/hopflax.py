@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compare import step_data, step_primitive
-from .errors import FluxRangeError
+from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux, convex_conjugate
 
 
@@ -85,10 +85,11 @@ def _minimize(
     data: PotentialData, flux: ConvexFlux, x, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimizer y and value g(x, t) at every point of x."""
-    if not (np.isfinite(t) and t > 0.0):
-        raise FluxRangeError(f"Hopf-Lax evaluation needs a finite t > 0, got t = {t}")
+    check_positive("t", t)
     xs, us = data.breakpoints, data.values
-    x = np.ravel(np.asarray(x, dtype=float))[:, None]
+    x = np.ravel(np.asarray(x, dtype=float))
+    check_finite("x", x)
+    x = x[:, None]
     R = flux.domain_radius
     s_lo, s_hi = float(flux.df(-R)), float(flux.df(R))
     # piece i is [xs[i-1], xs[i]], unbounded at both tails, cut to the bracket
@@ -134,9 +135,9 @@ def sample_oracle(
     data: PotentialData, flux: ConvexFlux, xs, t: float, h: float = 1e-6
 ) -> np.ndarray:
     """oracle_u at every point of xs, from one call for all 2n potentials."""
-    if not (np.isfinite(h) and h > 0.0):
-        raise FluxRangeError(f"difference step h must be finite and positive, got h = {h}")
+    check_positive("h", h)
     xs = np.ravel(np.asarray(xs, dtype=float))
+    check_finite("xs", xs)
     g = _minimize(data, flux, np.concatenate((xs + h, xs - h)), t)[1]
     return (g[: xs.size] - g[xs.size :]) / (2.0 * h)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FanOrderingError, FluxRangeError, UnsupportedFamilyError
+from .errors import FanOrderingError, FluxRangeError, UnsupportedFamilyError, check_positive
 from .fluxes import ConvexFlux, _check_band, chord_slope, inverse_derivative
 
 EXPANSION_SHOCK = "expansion_shock"
@@ -393,6 +393,5 @@ def sample_fan(
     fan: WaveFan, t: float, xs: np.ndarray
 ) -> np.ndarray:
     """Profile u(x, t) = fan value at omega = x / t for t > 0."""
-    if t <= 0.0:
-        raise FluxRangeError(f"fan sampling needs t > 0, got {t}")
+    check_positive("t", t)
     return np.asarray(evaluate_fan(fan, np.asarray(xs, dtype=float) / t))

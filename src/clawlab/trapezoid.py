@@ -34,6 +34,7 @@ import numpy as np
 from .compare import step_values
 from .entropy import _Domain
 from .errors import ClawError, FluxRangeError, InvariantViolation, TangencyError
+from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux
 from .fronts import (
     FrontState,
@@ -63,8 +64,7 @@ class TrapezoidDomain(_Domain):
     def __post_init__(self):
         if not (-np.inf < self.t1 < self.t2 < np.inf):
             raise FluxRangeError(f"need finite t1 < t2, got [{self.t1}, {self.t2}]")
-        if not 0.0 < self.delta < np.inf:
-            raise FluxRangeError(f"delta must be positive and finite, got {self.delta}")
+        check_positive("delta", self.delta)
         if not (0.0 < self.lambda_hat <= 1.0):
             raise FluxRangeError(
                 f"lambda_hat must lie in (0, 1], got {self.lambda_hat}"
@@ -110,8 +110,7 @@ def lambda0(flux: ConvexFlux, boundary_sup: float = 1.0) -> float:
     Reciprocal of the flux derivative at R + 1 + boundary_sup, a strict
     upper bound for every chord speed of states in the working band.
     """
-    if not np.isfinite(boundary_sup):
-        raise FluxRangeError(f"boundary_sup must be finite, got {boundary_sup}")
+    check_finite("boundary_sup", boundary_sup)
     reach = flux.domain_radius + 1.0 + abs(boundary_sup)
     return 1.0 / max(abs(float(flux.df(reach))), abs(float(flux.df(-reach))))
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite, check_positive
 from .quadrature import leggauss
 from .fronts import Lifetimes
 from .riemann import Rarefaction, WaveFan, evaluate_fan, fan_breakpoints
@@ -80,6 +81,12 @@ class BumpTest:
     t0: float
     ax: float
     bt: float
+
+    def __post_init__(self):
+        check_finite("x0", self.x0)
+        check_finite("t0", self.t0)
+        check_positive("ax", self.ax)
+        check_positive("bt", self.bt)
 
     def x_part(self, x) -> np.ndarray:
         return _bump((np.asarray(x, dtype=float) - self.x0) / self.ax)
@@ -198,7 +205,8 @@ def trajectory_max_residual(traj, battery=None) -> float:
     if battery is None:
         battery = default_battery_for(traj)
     rows = traj.lifetimes()
-    return max(abs(_front_sum(traj.flux, traj.t_start, rows, psi)) for psi in battery)
+    res = [_front_sum(traj.flux, traj.t_start, rows, psi) for psi in battery]
+    return float(np.max(np.abs(res)))  # NaN if any is NaN, unlike the builtin max
 
 
 def _gauss_nodes(lo: float, hi: float, n_panels: int):
@@ -220,6 +228,7 @@ def fan_weak_residual(fan: WaveFan, psi: BumpTest, t_max: float) -> float:
     the profile differs from that front's right state; the remainder is
     integrated in omega = x / t on fixed Gauss nodes.
     """
+    check_positive("t_max", t_max)
     n = len(fan.waves)
     rows = Lifetimes(
         front_id=np.arange(n),
@@ -254,10 +263,11 @@ def fan_weak_residual(fan: WaveFan, psi: BumpTest, t_max: float) -> float:
 
 
 def fan_max_residual(fan: WaveFan, t_max: float = 1.0, battery=None) -> float:
+    check_positive("t_max", t_max)
     if battery is None:
         speeds = fan_breakpoints(fan) or [0.0]
         lo = min(speeds) * t_max
         hi = max(speeds) * t_max
         pad = max(1.0, 0.3 * (hi - lo))
         battery = bump_battery(lo - pad, hi + pad, 0.0, t_max)
-    return max(abs(fan_weak_residual(fan, psi, t_max)) for psi in battery)
+    return float(np.max(np.abs([fan_weak_residual(fan, psi, t_max) for psi in battery])))

@@ -346,16 +346,6 @@ def test_two_shock_merge_ledger_worked_values():
     assert rows[0].t_end == pytest.approx(0.25)
 
 
-def test_ledger_mode_field():
-    sc = get_scenario("two_shock_merge")
-    fl = sc.make_flux()
-    traj = evolve(sc.initial_state(fl), fl, sc.t_end)
-    signed = total_ep(traj, Window(0.0, 2.0), mode="signed")
-    assert signed.total == signed.total_signed
-    with pytest.raises(FluxRangeError):
-        total_ep(traj, Window(0.0, 2.0), mode="rms")
-
-
 def test_ledger_triple_agreement_with_expansion_shocks():
     # non-entropic evolution: |D| ledger vs kinetic quadrature vs delta * H^1
     fl = burgers_flux()

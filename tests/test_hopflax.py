@@ -320,5 +320,5 @@ def test_oracle_rejects_a_non_finite_or_nonpositive_step(call, h):
         "sample_oracle": lambda: sample_oracle(data, fl, [0.1], 1.0, h=h),
         "oracle_u": lambda: oracle_u(data, fl, 0.1, 1.0, h=h),
     }
-    with pytest.raises(FluxRangeError, match=f"step h must be finite and positive, got h = {h}"):
+    with pytest.raises(FluxRangeError, match=f"needs a finite h > 0, got h = {h}"):
         calls[call]()
