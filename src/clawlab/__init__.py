@@ -39,7 +39,6 @@ from .errors import (
     ClawError,
     ConfigError,
     DegenerateChordError,
-    EventCascadeError,
     FanOrderingError,
     FluxRangeError,
     InvariantViolation,

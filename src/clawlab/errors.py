@@ -54,10 +54,6 @@ class TangencyError(ClawError, ValueError):
     """A front runs tangent to the trapezoid boundary."""
 
 
-class EventCascadeError(ClawError, RuntimeError):
-    """Too many simultaneous collisions at a single point."""
-
-
 class QuadratureError(ClawError, ArithmeticError):
     """Quadrature did not settle within its panel cap."""
 

@@ -202,10 +202,15 @@ def make_flux(name: str, domain_radius: float = 2.0) -> ConvexFlux:
     return factory(domain_radius)
 
 
+def _band_bound(flux: ConvexFlux) -> float:
+    """Largest |u| on the band: R with 1e-12 relative and absolute slack."""
+    return flux.domain_radius * (1.0 + 1e-12) + 1e-12
+
+
 def _check_band(flux: ConvexFlux, u: ArrayLike, what: str) -> None:
     r = flux.domain_radius
     arr = np.ravel(np.asarray(u, dtype=float))
-    inside = np.abs(arr) <= r * (1.0 + 1e-12) + 1e-12
+    inside = np.abs(arr) <= _band_bound(flux)
     if not inside.all():
         raise FluxRangeError(
             f"{what} {float(arr[np.argmin(inside)])} outside the admissible band "

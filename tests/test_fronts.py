@@ -22,17 +22,20 @@ from clawlab import (
     state_from_data,
     trapezoid_splice,
 )
-from clawlab.errors import FluxRangeError
-from clawlab.fluxes import chord_slope, chord_slopes
+from clawlab.errors import ClawError, FluxRangeError
+from clawlab.fluxes import FLUX_CATALOG, _band_bound, chord_slope, chord_slopes
 from clawlab.fronts import (
     FrontState,
     KindLabels,
     Trajectory,
+    _resolve,
+    _Tracker,
     front_state,
     l1_between_states,
     linf,
     mass,
 )
+from clawlab.weak import default_battery_for, trajectory_max_residual
 
 MASS_TOL = 1e-10
 
@@ -543,3 +546,122 @@ def test_snapshot_constructors_reject_non_finite_time(time):
         state_from_data(fl, [0.0], [1.0, 0.0], time=time)
     with pytest.raises(FluxRangeError, match="time"):
         front_state(fl, time, [0.0], [1.0, 0.0])
+
+
+def _emitted_speeds(flux, chain):
+    """Speeds the tracker gives a chain it emits, or the error it raises."""
+    tracker = _Tracker(flux, front_state(flux, 0.0, [], [0.0]), "as_given", 0.1)
+    try:
+        tracker.replace_group(0, -1, 0.0, chain, ["expansion_shock"] * (len(chain) - 1))
+    except ClawError as exc:
+        return exc
+    return tracker.speeds
+
+
+def _chord_speeds(flux, chain):
+    vals = np.asarray(chain, dtype=float)
+    try:
+        return chord_slopes(flux, vals[:-1], vals[1:])
+    except ClawError as exc:
+        return exc
+
+
+def _seeded_chains(flux, seed, n):
+    """as_given pairs and _resolve staircases; many states sit at the band's
+    edge, on either side of _check_band's bound, or one ulp from a neighbour."""
+    rng = np.random.default_rng(seed)
+    r = flux.domain_radius
+    bound = _band_bound(flux)
+    edge = [r, np.nextafter(r, 0.0), bound, np.nextafter(bound, np.inf)]
+    edge = np.array(edge + [-u for u in edge])
+
+    def state():
+        return float(rng.choice(edge)) if rng.random() < 0.4 else rng.uniform(-r, r)
+
+    for _ in range(n):
+        u_l, u_r = state(), state()
+        pick = rng.random()
+        if pick < 0.3:
+            yield [u_l, u_r]
+        elif pick < 0.5:
+            yield [u_l, float(np.nextafter(u_l, rng.choice([-np.inf, np.inf])))]
+        elif pick < 0.55:
+            yield [u_l, rng.choice([u_l, np.nan])]
+        else:
+            yield _resolve(u_l, u_r, r * rng.uniform(0.005, 0.5))[0]
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_CATALOG))
+def test_emitted_chain_speeds_are_chord_slopes_bit_for_bit(name):
+    """replace_group checks a chain in Python scalars and then evaluates f
+    once per state. Its speeds must be chord_slopes' to the bit, and a chain
+    that chord_slopes refuses must raise the same error."""
+    flux = FLUX_CATALOG[name]()
+    raised = 0
+    for chain in _seeded_chains(flux, 2100 + len(name), 2400):
+        want = _chord_speeds(flux, chain)
+        got = _emitted_speeds(flux, chain)
+        if isinstance(want, ClawError):
+            raised += 1
+            assert type(got) is type(want) and str(got) == str(want), chain
+        else:
+            assert isinstance(got, np.ndarray), (chain, got)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), chain
+    assert 200 <= raised <= 2200
+
+
+def test_coincidence_guard_groups_fronts_that_meet_at_one_point():
+    """Shocks of speeds 1, 0 and -1 meet at (1, 0); both pair events form
+    one group, merged into one front."""
+    fl = burgers_flux()
+    state = front_state(fl, 0.0, [-1.0, 0.0, 1.0], [1.5, 0.5, -0.5, -1.5])
+    traj = evolve(state, fl, 2.0, mode="as_given")
+    assert [(e.time, e.x) for e in traj.events] == [(1.0, 0.0)]
+    after = traj.snapshots[1]
+    assert list(after.front_ids) == [3] and list(after.states) == [1.5, -1.5]
+
+
+def test_coincidence_guard_splits_collisions_at_distinct_points():
+    """Fronts 0 and 1 meet at (1, 0); fronts 1 and 2 meet 2**-41 later at
+    x = 2**-30. The two pair events fall within the grouping tolerances, but
+    at t = 1 front 2 is still 25 * 2**-30 (2.3e-8) from x = 0, so only the
+    first pair collides then."""
+    fl = burgers_flux(2.0**17)
+    # speeds 3072, 2048 and -49152
+    x2 = 2.0**-30 + 49152.0 * (1.0 + 2.0**-41)
+    state = front_state(fl, 0.0, [-3072.0, -2048.0, x2], [3144.0, 3000.0, 1096.0, -99400.0])
+    traj = evolve(state, fl, 1.0 + 2.0**-40, mode="as_given")
+    first, second = traj.events
+    assert (first.time, first.x) == (1.0, 0.0)
+    assert 1.0 < second.time <= 1.0 + 1e-12 and 0.0 < second.x <= 1e-9
+    assert list(traj.snapshots[1].front_ids) == [3, 2]
+    assert list(traj.snapshots[2].states) == [3144.0, -99400.0]
+
+
+def _hat_ramp(n):
+    """u0 = max(0, 1 - |x|) as exact cell averages on 2n cells of width 1/n."""
+    xs = np.linspace(-1.0, 1.0, 2 * n + 1)
+    primitive = np.where(xs <= 0.0, 0.5 * (1.0 + xs) ** 2, 1.0 - 0.5 * (1.0 - xs) ** 2)
+    return xs, np.concatenate(([0.0], np.diff(primitive) / np.diff(xs), [0.0]))
+
+
+# Measured at n = 80, 160 and 640: mass drift 1.9e-13, 3.2e-13 and 6.4e-12,
+# weak residual 5.9e-11, 7.6e-11 and 7.4e-11.
+RAMP_MASS_TOL = 1e-11
+RAMP_WEAK_TOL = 1e-10
+
+
+@pytest.mark.parametrize("n", [80, 160, 640])
+def test_ramp_focusing_more_than_64_fronts_at_one_point(n):
+    """The shocks of the ramp's compressive side focus at the breaking point
+    (1, 1), where 80 (n = 80) to 167 (n = 640) fronts collide as one group.
+    Such a group is one Riemann problem, so the run conserves mass and
+    stays a weak solution."""
+    fl = burgers_flux()
+    state = state_from_data(fl, *_hat_ramp(n))
+    traj = evolve(state, fl, 2.0, rarefaction_step=1.0 / n)
+    snaps = traj.snapshots
+    assert max(a.n_fronts - b.n_fronts for a, b in zip(snaps[:-1], snaps[1:])) >= 64
+    m0 = mass(state)
+    assert max(abs(mass(s) - m0) for s in snaps) <= RAMP_MASS_TOL
+    assert trajectory_max_residual(traj, default_battery_for(traj)) <= RAMP_WEAK_TOL

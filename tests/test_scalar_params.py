@@ -32,6 +32,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 FL = burgers_flux()
 FAN = solve_riemann(FL, 0.0, 1.0)
 STATE = state_from_data(FL, [0.0], [0.0, 0.25], time=1.0)
+TRAJ = evolve(state_from_data(FL, [0.0], [1.0, 0.0]), FL, 1.0)
 DATA = potential_from_step([0.0], [1.0, 0.0])
 BUMP = BumpTest(0.0, 0.5, 0.5, 0.3)
 GRID = dict(x_min=-1.0, x_max=1.0, n_cells=4, nu=0.9, time=0.0, u=np.zeros(4))
@@ -40,6 +41,8 @@ TRAPEZOID = dict(t1=0.0, t2=1.0, delta=0.1, lambda_hat=0.39)
 # (entry point, parameter, must be positive, call with the parameter set to v)
 CALLS = [
     ("front_state", "time", False, lambda v: front_state(FL, v, [0.0], [1.0, 0.0])),
+    ("value_at", "x", False, lambda v: STATE.value_at(v)),
+    ("sample", "x", False, lambda v: TRAJ.sample(0.5, [0.1, v])),
     ("resolve_jump", "u_l", False, lambda v: resolve_jump(FL, v, 0.0, 0.1)),
     ("resolve_jump", "u_r", False, lambda v: resolve_jump(FL, 0.0, v, 0.1)),
     ("resolve_jump", "rarefaction_step", True, lambda v: resolve_jump(FL, 0.0, 1.0, v)),
