@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FluxRangeError, InvariantViolation, check_finite
+from .errors import FluxRangeError, InvariantViolation, check_finite, check_positive
 
 
 def step_data(xs, us) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +95,13 @@ def l1_step_vs_fn(
 
     Composite midpoint quadrature on a grid refined below max_cell and
     split at the step breakpoints, so the only error left is the kinks of
-    |difference| inside cells.
+    |difference| inside cells. lo and hi must be finite and max_cell
+    finite and positive.
     """
     xs, vals = step_data(xs, vals)
+    check_finite("lo", lo)
+    check_finite("hi", hi)
+    check_positive("max_cell", max_cell)
     cuts = _distinct_sorted(np.concatenate(([lo, hi], xs[(lo < xs) & (xs < hi)])))
     counts = np.maximum(4, np.ceil(np.diff(cuts) / max_cell).astype(int))
     # every cell of every piece at once: its piece, its index in the piece

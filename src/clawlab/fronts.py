@@ -13,10 +13,12 @@ evolve loop advances a priority queue of pairwise collision events:
 The tracker holds positions, speeds, states, kind codes and ids in numpy
 arrays. An event costs one C pass per array, to move the fronts and to
 splice its group in, plus interpreted work in the size of its collision
-group; a group of any size is one Riemann problem. Every event builds new
-arrays and never writes into old ones, so each event's snapshot keeps that
-event's arrays without a copy. A snapshot's kinds are a KindLabels: one
-uint8 code per front, read as the labels of a tuple.
+group; a group of any size is one Riemann problem. A queued pair whose
+front has since been replaced is dropped by a table of dead ids, with no
+search of the fronts. Every event builds new arrays and never writes into
+old ones, so each event's snapshot keeps that event's arrays without a
+copy. A snapshot's kinds are a KindLabels: one uint8 code per front, read
+as the labels of a tuple.
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -152,6 +154,21 @@ class FrontState:
         return np.array(self.positions), np.array(self.states)
 
 
+def _front_state(time, positions, states, speeds, kinds, front_ids) -> FrontState:
+    """FrontState of fields that are already its types, without the
+    dataclass __init__ and its field-by-field frozen setattr."""
+    snap = object.__new__(FrontState)
+    snap.__dict__.update(
+        time=time,
+        positions=positions,
+        states=states,
+        speeds=speeds,
+        kinds=kinds,
+        front_ids=front_ids,
+    )
+    return snap
+
+
 @dataclass(frozen=True)
 class EventRecord:
     time: float
@@ -197,6 +214,9 @@ class Trajectory:
     _lifetimes: Lifetimes | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _times: tuple[float, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def t_start(self) -> float:
@@ -212,8 +232,9 @@ class Trajectory:
                 f"t={t} outside the trajectory span "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        times = [s.time for s in self.snapshots]
-        i = bisect_right(times, t) - 1
+        if self._times is None:
+            self._times = tuple(s.time for s in self.snapshots)
+        i = bisect_right(self._times, t) - 1
         if i < 0:
             i = 0
         base = self.snapshots[i]
@@ -489,15 +510,18 @@ class _Tracker:
 
     pos, speeds, kinds (uint8 codes into _KIND_LABELS) and ids have one
     entry per front and vals one more (the states between them). Moving
-    every front is one vectorized pos + speeds * dt, and a collision or
+    every front is one vectorized speeds * dt + pos, and a collision or
     uncover splices its group in with one np.concatenate per array. Both
     build new arrays and never write into old ones, so a snapshot keeps the
     current arrays as they are; only the final snapshot, which would share
     all but pos with the last event's, copies. So an event costs one C pass
     per array plus interpreted work in the size of its group: the group's
-    coincidence and its pair lookups compare Python scalars, and the
-    emitted chain is checked in Python scalars and takes its speeds from one
-    flux evaluation. Heap entries hold Python scalars.
+    coincidence compares Python scalars, the emitted chain is checked in one
+    Python loop and takes its speeds from one flux evaluation, and the new
+    neighbour pairs are pushed from one tolist() per array. Heap entries
+    hold Python scalars. An entry whose front has died since it was pushed
+    is stale; dead holds every id a group replaced, so such an entry is
+    dropped without a search for its fronts.
     """
 
     def __init__(self, flux: ConvexFlux, snap: FrontState, mode: str, step: float):
@@ -513,6 +537,7 @@ class _Tracker:
         self.ids = np.array(snap.front_ids, dtype=int)
         self._next_id = int(self.ids.max()) + 1 if self.ids.size else 0
         self._counter = itertools.count()
+        self.dead: set[int] = set()
         self.heap: list[tuple] = []
         self.snapshots: list[FrontState] = []
         self.events: list[EventRecord] = []
@@ -523,40 +548,75 @@ class _Tracker:
         if copy:
             arrays = tuple(a.copy() for a in arrays)
         pos, vals, speeds, kinds, ids = arrays
-        return FrontState(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
+        return _front_state(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
 
     def advance_to(self, t: float) -> None:
         dt = t - self.t
         if dt < -_TIME_TOL:
             raise InvariantViolation(f"time regression {self.t} -> {t}")
         if dt != 0.0:
-            self.pos = self.pos + self.speeds * dt
+            # the bits of pos + speeds * dt, in one new array
+            pos = np.multiply(self.speeds, dt)
+            pos += self.pos
+            self.pos = pos
         self.t = t
 
-    def push_pair(self, i: int, t_stop: float) -> None:
-        if i < 0 or i + 1 >= self.pos.size:
-            return
-        s_l, s_r = self.speeds[i : i + 2].tolist()
-        rel = s_l - s_r
-        if rel <= 1e-14:
-            return
-        x_l, x_r = self.pos[i : i + 2].tolist()
-        dt = max(x_r - x_l, 0.0) / rel
-        t_col = self.t + dt
-        if t_col > t_stop + _TIME_TOL:
-            return
-        x_col = x_l + s_l * dt
-        id_l, id_r = self.ids[i : i + 2].tolist()
-        heapq.heappush(self.heap, (t_col, x_col, next(self._counter), id_l, id_r))
-
     def push_all_pairs(self, t_stop: float) -> None:
-        for i in range(self.pos.size - 1):
-            self.push_pair(i, t_stop)
+        """Start the heap with every pair that collides by t_stop.
+
+        One array pass computes what push_pairs would for each pair, with
+        the same counters in index order, so the entries and their pop
+        order are push_pairs'.
+        """
+        speeds, pos = self.speeds, self.pos
+        rel = speeds[:-1] - speeds[1:]
+        i = np.flatnonzero(rel > 1e-14)
+        x_l, s_l = pos[i], speeds[i]
+        gap = pos[i + 1] - x_l
+        dt = np.where(gap < 0.0, 0.0, gap) / rel[i]
+        t_col = self.t + dt
+        keep = t_col <= t_stop + _TIME_TOL
+        i, dt, x_l, s_l = i[keep], dt[keep], x_l[keep], s_l[keep]
+        x_col = x_l + s_l * dt
+        # zip stops at the end of the first list before it draws a counter
+        self.heap = list(
+            zip(
+                t_col[keep].tolist(),
+                x_col.tolist(),
+                self._counter,
+                self.ids[i].tolist(),
+                self.ids[i + 1].tolist(),
+            )
+        )
+        heapq.heapify(self.heap)
+
+    def push_pairs(self, lo: int, hi: int, t_stop: float) -> None:
+        """Push each pair (i, i + 1), lo <= i < hi, that collides by t_stop."""
+        lo = max(lo, 0)
+        hi = min(hi, self.pos.size - 1)
+        if lo >= hi:
+            return
+        speeds = self.speeds[lo : hi + 1].tolist()
+        pos = self.pos[lo : hi + 1].tolist()
+        ids = self.ids[lo : hi + 1].tolist()
+        t, heap, limit = self.t, self.heap, t_stop + _TIME_TOL
+        for j in range(hi - lo):
+            s_l = speeds[j]
+            rel = s_l - speeds[j + 1]
+            if rel <= 1e-14:
+                continue
+            x_l = pos[j]
+            dt = max(pos[j + 1] - x_l, 0.0) / rel
+            t_col = t + dt
+            if t_col > limit:
+                continue
+            entry = (t_col, x_l + s_l * dt, next(self._counter), ids[j], ids[j + 1])
+            heapq.heappush(heap, entry)
 
     def _pair_indices(self, id_l: int, id_r: int) -> tuple[int, int] | None:
-        ids = self.ids
-        if ids.size == 0:
+        if id_l in self.dead or id_r in self.dead:
             return None
+        ids = self.ids
         i = int((ids == id_l).argmax())
         if ids[i : i + 2].tolist() != [id_l, id_r]:
             return None
@@ -572,18 +632,22 @@ class _Tracker:
         """
         k = len(chain) - 1
         vals = np.asarray(chain, dtype=float)
-        if all(abs(u) <= self.band for u in chain) and all(
-            a != b for a, b in zip(chain, chain[1:])
-        ):
+        band = self.band
+        prev = None
+        for u in chain:
+            if not abs(u) <= band or u == prev:
+                # chord_slopes names the equal pair or the state off the band
+                speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
+                break
+            prev = u
+        else:
             # the chords of chord_slopes, with one flux evaluation per state
             fv = self.flux.f(vals)
             speeds = (fv[:-1] - fv[1:]) / (vals[:-1] - vals[1:])
-        else:
-            # chord_slopes names the equal pair or the state off the band
-            speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
         codes = np.array([_KIND_CODES[kind] for kind in kinds], dtype=np.uint8)
         ids = np.arange(self._next_id, self._next_id + k)
         self._next_id += k
+        self.dead.update(self.ids[p : q + 1].tolist())
         self.pos = np.concatenate((self.pos[:p], [x] * k, self.pos[q + 1 :]))
         self.speeds = np.concatenate((self.speeds[:p], speeds, self.speeds[q + 1 :]))
         self.kinds = np.concatenate((self.kinds[:p], codes, self.kinds[q + 1 :]))
@@ -613,7 +677,8 @@ class _Tracker:
             pair = self._pair_indices(entry[3], entry[4])
             if pair is None:
                 continue
-            group = [(entry, pair)]
+            lo, hi = pair
+            group = []  # the other live pairs that meet at (t, x)
             stash = []
             while self.heap and self.heap[0][0] <= t + _TIME_TOL:
                 e2 = heapq.heappop(self.heap)
@@ -621,19 +686,18 @@ class _Tracker:
                 if p2 is None:
                     continue
                 if abs(e2[1] - x) <= 1e-9:
-                    group.append((e2, p2))
+                    group.append(e2)
+                    lo, hi = min(lo, p2[0]), max(hi, p2[1])
                 else:
                     stash.append(e2)
             self.advance_to(t)
-            lo = min(p[0] for _, p in group)
-            hi = max(p[1] for _, p in group)
             # Guard against accidental grouping of distinct collisions: every
             # front in the merged span must actually sit at the event point.
+            # A lone pair is the span it would fall back to.
             tol = 1e-8 * max(1.0, abs(x))
-            coincident = all(abs(p - x) <= tol for p in self.pos[lo : hi + 1].tolist())
-            if not coincident:
+            if group and not all(abs(p - x) <= tol for p in self.pos[lo : hi + 1].tolist()):
                 lo, hi = pair
-                for e2, _ in group[1:]:
+                for e2 in group:
                     heapq.heappush(self.heap, e2)
             for e2 in stash:
                 heapq.heappush(self.heap, e2)
@@ -647,14 +711,15 @@ class _Tracker:
         if self.mode == "entropic":
             chain, kinds = _resolve(u_left, u_right, self.step)
         elif u_left == u_right:
+            # the one state has no chord whose band check would refuse it
+            _check_band(self.flux, u_left, "state")
             chain, kinds = [u_left], []
         else:
             chain, kinds = [u_left, u_right], [_label(u_left, u_right)]
         first, last = self.replace_group(p, q, x, chain, kinds)
         self.events.append(EventRecord(self.t, x, "collision"))
         self.snapshots.append(self.snapshot())
-        for i in range(first - 1, last + 1):
-            self.push_pair(i, t_end)
+        self.push_pairs(first - 1, last + 1, t_end)
 
     def _apply_uncover(self, x: float, side: str, new_value: float, t_end: float) -> None:
         """Inject boundary data at the moving edge of a trapezoid re-solve."""
@@ -669,8 +734,7 @@ class _Tracker:
             first, last = self.replace_group(n, n - 1, x, chain, kinds)
         self.events.append(EventRecord(self.t, x, "uncover"))
         self.snapshots.append(self.snapshot())
-        for i in range(first - 1, last + 2):
-            self.push_pair(i, t_end)
+        self.push_pairs(first - 1, last + 2, t_end)
 
 
 def evolve(

@@ -22,6 +22,7 @@ from clawlab import (
     state_from_data,
     trapezoid_splice,
 )
+from clawlab import fronts
 from clawlab.errors import ClawError, FluxRangeError
 from clawlab.fluxes import FLUX_CATALOG, _band_bound, chord_slope, chord_slopes
 from clawlab.fronts import (
@@ -429,6 +430,21 @@ def test_as_given_merge_of_illegal_states_raises_from_the_chord(states, name):
     assert err.traceback[-2].name == "chord_slopes"
 
 
+@pytest.mark.parametrize(
+    "states", [[2.0, 0.5, 2.0], [2.0, 0.5, -0.5]], ids=["one-state-chain", "two-state-chain"]
+)
+def test_as_given_merge_checks_every_emitted_state_against_the_band(states):
+    """The fronts at 0 and 1 meet at (1/2, 1). With equal outer states the
+    merge emits the one-state chain [2.0], which has no chord; its state
+    must be refused as the band refuses the chain [2.0, -0.5]."""
+    fl = burgers_flux(1.0)
+    # hand-built, unvalidated
+    state = FrontState(0.0, np.array([0.0, 1.0]), np.array(states), np.array([2.0, 0.0]),
+                       ("entropic_shock", "entropic_shock"), np.array([0, 1]))
+    with pytest.raises(FluxRangeError, match="state 2.0 outside"):
+        evolve(state, fl, 1.0, mode="as_given")
+
+
 def test_state_at_rejects_nan_time():
     fl = burgers_flux()
     traj = evolve(state_from_data(fl, [0.0], [1.0, 0.0]), fl, 1.0)
@@ -665,3 +681,56 @@ def test_ramp_focusing_more_than_64_fronts_at_one_point(n):
     m0 = mass(state)
     assert max(abs(mass(s) - m0) for s in snaps) <= RAMP_MASS_TOL
     assert trajectory_max_residual(traj, default_battery_for(traj)) <= RAMP_WEAK_TOL
+
+
+class _SearchingTracker(_Tracker):
+    """The tracker with no dead-id table: every heap entry pays the search."""
+
+    def _pair_indices(self, id_l, id_r):
+        ids = self.ids
+        if ids.size == 0:
+            return None
+        i = int((ids == id_l).argmax())
+        if ids[i : i + 2].tolist() != [id_l, id_r]:
+            return None
+        return (i, i + 1)
+
+
+def _bits(snap):
+    arrays = (snap.positions, snap.states, snap.speeds, snap.kinds.codes, snap.front_ids)
+    return (snap.time, *((a.dtype.str, a.tobytes()) for a in arrays))
+
+
+@pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps])
+def test_dead_ids_drop_only_stale_heap_entries(build, monkeypatch):
+    """The dead-id table rejects a heap entry before any search, so it must
+    reject exactly the entries the search rejects: every snapshot and event
+    is the searching tracker's, to the bit."""
+    want = build()
+    monkeypatch.setattr(fronts, "_Tracker", _SearchingTracker)
+    got = build()
+    assert len(got.events) > 20
+    assert [(e.time, e.x, e.kind) for e in got.events] == [
+        (e.time, e.x, e.kind) for e in want.events
+    ]
+    assert [_bits(s) for s in got.snapshots] == [_bits(s) for s in want.snapshots]
+
+
+@pytest.mark.parametrize("mode", ["entropic", "as_given"])
+@pytest.mark.parametrize("t_stop", [0.05, 1.0])
+def test_initial_heap_is_the_heap_of_pair_by_pair_pushes(mode, t_stop):
+    """push_all_pairs builds the heap in one array pass; its entries, and
+    the counters that order ties, are those of one push per pair."""
+    fl = cosh_flux(2.0)
+    xs, us = _steps(100, 100, 5.0, 1.5)
+    start = state_from_data(fl, xs, us)
+    if mode == "entropic":
+        start = entropic_resolve_state(fl, start, 0.02)
+    whole = _Tracker(fl, start, mode, 0.02)
+    whole.push_all_pairs(t_stop)
+    by_pair = _Tracker(fl, start, mode, 0.02)
+    for i in range(start.n_fronts - 1):
+        by_pair.push_pairs(i, i + 1, t_stop)
+    assert 10 < len(whole.heap) < start.n_fronts - 1
+    assert sorted(whole.heap) == sorted(by_pair.heap)
+    assert next(whole._counter) == next(by_pair._counter) == len(whole.heap)

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from clawlab import weak
+from clawlab import l1_step_vs_fn, weak
 from clawlab.entropy import (
     check_e_condition_fan,
     check_e_condition_samples,
@@ -84,6 +84,12 @@ CALLS = [
       for name in ("x0", "t0", "ax", "bt")],
     ("fan_weak_residual", "t_max", True, lambda v: fan_weak_residual(FAN, BUMP, v)),
     ("fan_max_residual", "t_max", True, lambda v: fan_max_residual(FAN, v)),
+    ("l1_step_vs_fn", "lo", False,
+     lambda v: l1_step_vs_fn([0.0], [1.0, 0.0], np.zeros_like, v, 1.0)),
+    ("l1_step_vs_fn", "hi", False,
+     lambda v: l1_step_vs_fn([0.0], [1.0, 0.0], np.zeros_like, -1.0, v)),
+    ("l1_step_vs_fn", "max_cell", True,
+     lambda v: l1_step_vs_fn([0.0], [1.0, 0.0], np.zeros_like, -1.0, 1.0, v)),
 ]
 
 CASES = [
