@@ -154,21 +154,6 @@ class FrontState:
         return np.array(self.positions), np.array(self.states)
 
 
-def _front_state(time, positions, states, speeds, kinds, front_ids) -> FrontState:
-    """FrontState of fields that are already its types, without the
-    dataclass __init__ and its field-by-field frozen setattr."""
-    snap = object.__new__(FrontState)
-    snap.__dict__.update(
-        time=time,
-        positions=positions,
-        states=states,
-        speeds=speeds,
-        kinds=kinds,
-        front_ids=front_ids,
-    )
-    return snap
-
-
 @dataclass(frozen=True)
 class EventRecord:
     time: float
@@ -214,9 +199,6 @@ class Trajectory:
     _lifetimes: Lifetimes | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _times: tuple[float, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def t_start(self) -> float:
@@ -232,9 +214,8 @@ class Trajectory:
                 f"t={t} outside the trajectory span "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        if self._times is None:
-            self._times = tuple(s.time for s in self.snapshots)
-        i = bisect_right(self._times, t) - 1
+        times = [s.time for s in self.snapshots]
+        i = bisect_right(times, t) - 1
         if i < 0:
             i = 0
         base = self.snapshots[i]
@@ -535,6 +516,11 @@ class _Tracker:
         self.kinds = snap.kinds.codes
         self.speeds = np.array(snap.speeds, dtype=float)
         self.ids = np.array(snap.front_ids, dtype=int)
+        # dead ids mark stale heap entries, so no two fronts may share an id
+        sorted_ids = np.sort(self.ids)
+        twice = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if twice.size:
+            raise InvariantViolation(f"front id {int(twice[0])} is held by more than one front")
         self._next_id = int(self.ids.max()) + 1 if self.ids.size else 0
         self._counter = itertools.count()
         self.dead: set[int] = set()
@@ -548,7 +534,7 @@ class _Tracker:
         if copy:
             arrays = tuple(a.copy() for a in arrays)
         pos, vals, speeds, kinds, ids = arrays
-        return _front_state(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
+        return FrontState(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
 
     def advance_to(self, t: float) -> None:
         dt = t - self.t
@@ -560,35 +546,6 @@ class _Tracker:
             pos += self.pos
             self.pos = pos
         self.t = t
-
-    def push_all_pairs(self, t_stop: float) -> None:
-        """Start the heap with every pair that collides by t_stop.
-
-        One array pass computes what push_pairs would for each pair, with
-        the same counters in index order, so the entries and their pop
-        order are push_pairs'.
-        """
-        speeds, pos = self.speeds, self.pos
-        rel = speeds[:-1] - speeds[1:]
-        i = np.flatnonzero(rel > 1e-14)
-        x_l, s_l = pos[i], speeds[i]
-        gap = pos[i + 1] - x_l
-        dt = np.where(gap < 0.0, 0.0, gap) / rel[i]
-        t_col = self.t + dt
-        keep = t_col <= t_stop + _TIME_TOL
-        i, dt, x_l, s_l = i[keep], dt[keep], x_l[keep], s_l[keep]
-        x_col = x_l + s_l * dt
-        # zip stops at the end of the first list before it draws a counter
-        self.heap = list(
-            zip(
-                t_col[keep].tolist(),
-                x_col.tolist(),
-                self._counter,
-                self.ids[i].tolist(),
-                self.ids[i + 1].tolist(),
-            )
-        )
-        heapq.heapify(self.heap)
 
     def push_pairs(self, lo: int, hi: int, t_stop: float) -> None:
         """Push each pair (i, i + 1), lo <= i < hi, that collides by t_stop."""
@@ -659,7 +616,7 @@ class _Tracker:
         """Drive the queue to t_end. uncover_events inject boundary fronts."""
         uncovers = sorted(uncover_events or [], key=lambda e: e[0])
         u_idx = 0
-        self.push_all_pairs(t_end)
+        self.push_pairs(0, self.pos.size - 1, t_end)
         while True:
             next_col = self.heap[0][0] if self.heap else math.inf
             next_unc = uncovers[u_idx][0] if u_idx < len(uncovers) else math.inf

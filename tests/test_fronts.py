@@ -716,21 +716,15 @@ def test_dead_ids_drop_only_stale_heap_entries(build, monkeypatch):
     assert [_bits(s) for s in got.snapshots] == [_bits(s) for s in want.snapshots]
 
 
-@pytest.mark.parametrize("mode", ["entropic", "as_given"])
-@pytest.mark.parametrize("t_stop", [0.05, 1.0])
-def test_initial_heap_is_the_heap_of_pair_by_pair_pushes(mode, t_stop):
-    """push_all_pairs builds the heap in one array pass; its entries, and
-    the counters that order ties, are those of one push per pair."""
-    fl = cosh_flux(2.0)
-    xs, us = _steps(100, 100, 5.0, 1.5)
-    start = state_from_data(fl, xs, us)
-    if mode == "entropic":
-        start = entropic_resolve_state(fl, start, 0.02)
-    whole = _Tracker(fl, start, mode, 0.02)
-    whole.push_all_pairs(t_stop)
-    by_pair = _Tracker(fl, start, mode, 0.02)
-    for i in range(start.n_fronts - 1):
-        by_pair.push_pairs(i, i + 1, t_stop)
-    assert 10 < len(whole.heap) < start.n_fronts - 1
-    assert sorted(whole.heap) == sorted(by_pair.heap)
-    assert next(whole._counter) == next(by_pair._counter) == len(whole.heap)
+def test_as_given_evolve_refuses_fronts_that_share_an_id():
+    """A dead id marks every queued pair of its front stale, so a snapshot
+    whose fronts share an id is refused before tracking (entropic mode
+    tracks fresh ids). With distinct ids fronts 0 and 1 merge at t = 2
+    and the merged front meets front 2 at t = 10/3."""
+    fl = burgers_flux(1.0)
+    xs, us = [0.0, 1.0, 3.0], [1.0, 0.5, 0.0, -0.5]
+    distinct = evolve(front_state(fl, 0.0, xs, us, front_ids=[0, 1, 2]), fl, 4.0, mode="as_given")
+    assert [e.time for e in distinct.events] == pytest.approx([2.0, 10.0 / 3.0])
+    state = front_state(fl, 0.0, xs, us, front_ids=[0, 1, 0])
+    with pytest.raises(InvariantViolation, match="front id 0 is held by more than one front"):
+        evolve(state, fl, 4.0, mode="as_given")
