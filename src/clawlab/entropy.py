@@ -26,9 +26,12 @@ integral (delta_density_chord) is retained for the discrepancy audit
 exposed by the delta-audit CLI command.
 
 Each quantity has one formula, elementwise over jumps: arrays give
-arrays, scalars give float. The ledgers clip every front lifetime to the
-window in one array pass, with the clip behind both clip_front methods,
-and add the clipped rows up in row order.
+arrays, scalars give float. The public jump functions check their states
+against the flux band (and kinetic_density its levels for finiteness);
+the ledgers, fan rates and admissibility checks, whose states are tracked
+and already checked, call the private kernels. The ledgers clip every
+front lifetime to the window in one array pass, with the clip behind both
+clip_front methods, and add the clipped rows up in row order.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FluxRangeError, check_finite, check_positive
-from .fluxes import ConvexFlux, chord_slopes, inverse_derivative
+from .fluxes import ConvexFlux, _check_band, chord_slopes, inverse_derivative
 from .quadrature import gauss_panels
 from .riemann import Shock, WaveFan
 
@@ -82,6 +85,12 @@ def _jump_terms(flux: ConvexFlux, a: ArrayLike, b: ArrayLike):
     return (a - b) * 0.5 * (flux.f(a) + flux.f(b)), F(a), F(b)
 
 
+def _check_states(flux: ConvexFlux, a: ArrayLike, b: ArrayLike, names=("u_minus", "u_plus")):
+    """_check_band on both states of the jumps (a, b), named by names."""
+    for u, name in zip((a, b), names):
+        _check_band(flux, u, name)
+
+
 def _per_h1_length(flux: ConvexFlux, a: ArrayLike, b: ArrayLike, rate) -> ArrayLike:
     sigma = _chord_speeds(flux, a, b)
     return _float_or_array(np.abs(rate) / np.sqrt(1.0 + sigma * sigma))
@@ -94,8 +103,16 @@ def kinetic_density(
 
     Elementwise, the jumps broadcasting against the levels. Compactly
     supported on [min(u_-,u_+), max(u_-,u_+)] and single-signed with the
-    sign of u_minus - u_plus; exactly 0 for u_minus == u_plus.
+    sign of u_minus - u_plus; exactly 0 for u_minus == u_plus. The states
+    must lie in the flux band and the levels be finite.
     """
+    _check_states(flux, u_minus, u_plus)
+    check_finite("a", np.asarray(a, dtype=float))
+    return _kinetic_density(flux, u_minus, u_plus, a)
+
+
+def _kinetic_density(flux: ConvexFlux, u_minus, u_plus, a) -> ArrayLike:
+    """kinetic_density without its checks."""
     um, up = np.asarray(u_minus, dtype=float), np.asarray(u_plus, dtype=float)
     return _float_or_array(_defect(flux, um, up, _chord_speeds(flux, um, up), a))
 
@@ -116,8 +133,15 @@ def jump_ep_rate(flux: ConvexFlux, u_minus: ArrayLike, u_plus: ArrayLike) -> Arr
     """Signed dissipation rate D of the jumps, in closed form via F.
 
     Elementwise. D > 0 iff u_minus > u_plus (entropic orientation); D = 0
-    for the degenerate pair. Equals the a-integral of kinetic_density.
+    for the degenerate pair. Equals the a-integral of kinetic_density. The
+    states must lie in the flux band.
     """
+    _check_states(flux, u_minus, u_plus)
+    return _jump_ep_rate(flux, u_minus, u_plus)
+
+
+def _jump_ep_rate(flux: ConvexFlux, u_minus, u_plus) -> ArrayLike:
+    """jump_ep_rate without its checks."""
     trap, F_minus, F_plus = _jump_terms(flux, u_minus, u_plus)
     return _float_or_array(trap + F_plus - F_minus)
 
@@ -144,12 +168,18 @@ def jump_ep_rate_kinetic(flux: ConvexFlux, u_minus: float, u_plus: float) -> flo
     """Signed rate recomputed by level quadrature of kinetic_density.
 
     Independent of the antiderivative F; used to cross-check jump_ep_rate.
+    The states must lie in the flux band.
     """
+    _check_states(flux, u_minus, u_plus)
     return float(_kinetic_rates(flux, u_minus, u_plus)[0, 0])
 
 
 def jump_abs_ep_rate_kinetic(flux: ConvexFlux, u_minus: float, u_plus: float) -> float:
-    """Quadrature of |kinetic_density|, the level-wise absolute rate."""
+    """Quadrature of |kinetic_density|, the level-wise absolute rate.
+
+    The states must lie in the flux band.
+    """
+    _check_states(flux, u_minus, u_plus)
     return float(_kinetic_rates(flux, u_minus, u_plus)[1, 0])
 
 
@@ -158,9 +188,15 @@ def delta_density(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
 
     Elementwise. Kinetic normalization: integrating delta_density over the
     jump set with the length element sqrt(1 + sigma^2) dt reproduces total
-    EP. Symmetric in (a, b).
+    EP. Symmetric in (a, b), which must lie in the flux band.
     """
-    return _per_h1_length(flux, a, b, jump_ep_rate(flux, a, b))
+    _check_states(flux, a, b, ("a", "b"))
+    return _delta_density(flux, a, b)
+
+
+def _delta_density(flux: ConvexFlux, a, b) -> ArrayLike:
+    """delta_density without its checks."""
+    return _per_h1_length(flux, a, b, _jump_ep_rate(flux, a, b))
 
 
 def delta_density_chord(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
@@ -169,8 +205,14 @@ def delta_density_chord(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLi
     Elementwise. Differs from delta_density whenever the integral term
     does not vanish: for Burgers data (1, 0) it gives 5/(6 sqrt 5) against
     the kinetic 1/(6 sqrt 5). Kept for the normalization audit; nothing
-    downstream consumes it.
+    downstream consumes it. a and b must lie in the flux band.
     """
+    _check_states(flux, a, b, ("a", "b"))
+    return _delta_density_chord(flux, a, b)
+
+
+def _delta_density_chord(flux: ConvexFlux, a, b) -> ArrayLike:
+    """delta_density_chord without its checks."""
     trap, F_a, F_b = _jump_terms(flux, a, b)
     return _per_h1_length(flux, a, b, trap - (F_b - F_a))
 
@@ -280,7 +322,7 @@ def entropy_rate_Hdot(fan: WaveFan, pair) -> float:
 def fan_ep_rate(fan: WaveFan) -> float:
     """Entropy production per unit time of a fan: sum of |D| over shocks."""
     um, up, _ = _shocks(fan)
-    return _left_sum(np.abs(jump_ep_rate(fan.flux, um, up)))
+    return _left_sum(np.abs(_jump_ep_rate(fan.flux, um, up)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +487,8 @@ def check_entropy_inequality(state, flux: ConvexFlux):
             continue
         lo, hi = min(um, up), max(um, up)
         inside, outside = chebyshev_levels(lo, hi, _N_LEVELS)
-        k_in = np.asarray(kinetic_density(flux, um, up, inside))
-        k_out = np.asarray(kinetic_density(flux, um, up, outside))
+        k_in = np.asarray(_kinetic_density(flux, um, up, inside))
+        k_out = np.asarray(_kinetic_density(flux, um, up, outside))
         tol = 1e-12 * max(1.0, float(np.max(np.abs(k_in))) if k_in.size else 1.0)
         if um > up:
             sign_ok = bool(np.all(k_in >= -tol))
@@ -566,8 +608,8 @@ def total_ep(traj, window: Window) -> EntropyLedger:
     the per-front line density Delta.
     """
     fid, um, up, sigma, lo, hi = _rows_inside(traj, window)
-    rate = jump_ep_rate(traj.flux, um, up)
-    cols = (fid, lo, hi, um, up, sigma, rate, np.abs(rate), delta_density(traj.flux, um, up))
+    rate = _jump_ep_rate(traj.flux, um, up)
+    cols = (fid, lo, hi, um, up, sigma, rate, np.abs(rate), _delta_density(traj.flux, um, up))
     return EntropyLedger(
         window=window,
         rows=[LedgerRow(*row) for row in zip(*(c.tolist() for c in cols))],
@@ -593,7 +635,7 @@ def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> fl
     Each front lifetime contributes Delta(u_-, u_+) times its H^1 length
     inside the window, sqrt(1 + sigma^2) x duration.
     """
-    density = delta_density_chord if use_chord_delta else delta_density
+    density = _delta_density_chord if use_chord_delta else _delta_density
     _, um, up, sigma, lo, hi = _rows_inside(traj, window)
     h1 = (hi - lo) * np.sqrt(1.0 + sigma * sigma)
     return _left_sum(density(traj.flux, um, up) * h1)

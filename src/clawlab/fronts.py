@@ -18,7 +18,9 @@ front has since been replaced is dropped by a table of dead ids, with no
 search of the fronts. Every event builds new arrays and never writes into
 old ones, so each event's snapshot keeps that event's arrays without a
 copy. A snapshot's kinds are a KindLabels: one uint8 code per front, read
-as the labels of a tuple.
+as the labels of a tuple. Front ids are int32, so a stored front costs 29
+bytes: 8 each for its position, state and speed, 4 for its id and 1 for
+its kind (a snapshot adds 8 for its last state).
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -60,6 +62,9 @@ _TIME_TOL = 1e-12
 _KIND_LABELS: list[str] = [ENTROPIC_SHOCK, EXPANSION_SHOCK, RAREFACTION_FRAGMENT]
 _KIND_CODES: dict[str, int] = {k: i for i, k in enumerate(_KIND_LABELS)}
 
+_ID_DTYPE = np.dtype(np.int32)
+_ID_RANGE = np.iinfo(_ID_DTYPE)
+
 
 def _kind_code(label: str) -> int:
     code = _KIND_CODES.get(label)
@@ -70,6 +75,24 @@ def _kind_code(label: str) -> int:
         _KIND_LABELS.append(label)
         _KIND_CODES[label] = code
     return code
+
+
+def _front_ids(ids) -> np.ndarray:
+    """ids as an int32 array, the same array if it is one already.
+
+    An id outside the int32 range raises InvariantViolation naming it, so
+    no id wraps on the way in.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype is _ID_DTYPE:
+        return ids
+    arr = np.asarray(ids)
+    inside = (arr >= _ID_RANGE.min) & (arr <= _ID_RANGE.max)  # NaN is outside
+    if not np.all(inside):
+        bad = arr.ravel()[np.argmin(np.ravel(inside))]
+        raise InvariantViolation(
+            f"front id {bad} outside the int32 range [{_ID_RANGE.min}, {_ID_RANGE.max}]"
+        )
+    return arr.astype(_ID_DTYPE)
 
 
 class KindLabels(Sequence):
@@ -126,7 +149,10 @@ class KindLabels(Sequence):
 class FrontState:
     """Snapshot of a tracked solution: m fronts separating m + 1 states.
 
-    kinds given as a tuple or list of labels is stored as a KindLabels.
+    kinds given as a tuple or list of labels is stored as a KindLabels, and
+    front_ids as int32; an id outside the int32 range raises
+    InvariantViolation. The five arrays hold 29 m + 8 bytes: float64
+    positions, states and speeds, int32 ids and uint8 kind codes.
     """
 
     time: float
@@ -139,6 +165,7 @@ class FrontState:
     def __post_init__(self) -> None:
         if not isinstance(self.kinds, KindLabels):
             object.__setattr__(self, "kinds", KindLabels(self.kinds))
+        object.__setattr__(self, "front_ids", _front_ids(self.front_ids))
 
     @property
     def n_fronts(self) -> int:
@@ -167,7 +194,8 @@ class Lifetimes:
 
     Row r is front front_id[r] on [t_birth[r], t_death[r]], at
     x_birth[r] + sigma[r] (t - t_birth[r]), with state u_minus[r] on its
-    left and u_plus[r] on its right.
+    left and u_plus[r] on its right. front_id is int32, as in the
+    snapshots; the other columns are float64.
     """
 
     front_id: np.ndarray
@@ -177,6 +205,9 @@ class Lifetimes:
     sigma: np.ndarray
     u_minus: np.ndarray
     u_plus: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "front_id", _front_ids(self.front_id))
 
     def __len__(self) -> int:
         return len(self.front_id)
@@ -351,9 +382,7 @@ def front_state(
         )
         kinds = KindLabels.from_codes(codes.astype(np.uint8))
     if front_ids is None:
-        front_ids = np.arange(len(pos), dtype=int)
-    else:
-        front_ids = np.asarray(front_ids, dtype=int)
+        front_ids = np.arange(len(pos), dtype=_ID_DTYPE)
     return FrontState(float(time), pos, vals, speeds, kinds, front_ids)
 
 
@@ -489,9 +518,10 @@ def l1_between_states(a: FrontState, b: FrontState) -> float:
 class _Tracker:
     """State of the event loop, fronts held left to right in numpy arrays.
 
-    pos, speeds, kinds (uint8 codes into _KIND_LABELS) and ids have one
-    entry per front and vals one more (the states between them). Moving
-    every front is one vectorized speeds * dt + pos, and a collision or
+    pos, speeds, kinds (uint8 codes into _KIND_LABELS) and ids (int32,
+    minted in order and refused past 2**31 - 1) have one entry per front
+    and vals one more (the states between them). Moving every front is
+    one vectorized speeds * dt + pos, and a collision or
     uncover splices its group in with one np.concatenate per array. Both
     build new arrays and never write into old ones, so a snapshot keeps the
     current arrays as they are; only the final snapshot, which would share
@@ -515,7 +545,7 @@ class _Tracker:
         self.vals = np.array(snap.states, dtype=float)
         self.kinds = snap.kinds.codes
         self.speeds = np.array(snap.speeds, dtype=float)
-        self.ids = np.array(snap.front_ids, dtype=int)
+        self.ids = np.array(snap.front_ids, dtype=_ID_DTYPE)
         # dead ids mark stale heap entries, so no two fronts may share an id
         sorted_ids = np.sort(self.ids)
         twice = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
@@ -602,7 +632,11 @@ class _Tracker:
             fv = self.flux.f(vals)
             speeds = (fv[:-1] - fv[1:]) / (vals[:-1] - vals[1:])
         codes = np.array([_KIND_CODES[kind] for kind in kinds], dtype=np.uint8)
-        ids = np.arange(self._next_id, self._next_id + k)
+        if self._next_id + k - 1 > _ID_RANGE.max:
+            raise InvariantViolation(
+                f"front id {self._next_id + k - 1} would pass the int32 limit {_ID_RANGE.max}"
+            )
+        ids = np.arange(self._next_id, self._next_id + k, dtype=_ID_DTYPE)
         self._next_id += k
         self.dead.update(self.ids[p : q + 1].tolist())
         self.pos = np.concatenate((self.pos[:p], [x] * k, self.pos[q + 1 :]))

@@ -263,7 +263,7 @@ def _merge_states(
         return (
             list(base.positions[sel] + dt * base.speeds[sel]),
             base.kinds.codes[sel],
-            list(base.front_ids[sel] + offset),
+            [i + offset for i in base.front_ids[sel].tolist()],
         )
 
     pos_l, kinds_l, ids_l = emit(orig, left_sel, 0)

@@ -58,13 +58,27 @@ def _dbump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-_BUMP_VALS = _bump(_GRID)
-_BUMP_ANTI = np.concatenate(
-    (
-        [0.0],
-        np.cumsum(0.5 * (_BUMP_VALS[:-1] + _BUMP_VALS[1:]) * np.diff(_GRID)),
-    )
-)
+def _trapezoid_antiderivative(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid antiderivative of B on grid, from grid[0].
+
+    The steps are built 8192 at a time into one array and summed by one
+    sequential cumsum, so the table equals the one-shot formula
+    concatenate(([0], cumsum(0.5 (B[:-1] + B[1:]) diff(grid)))) bit for
+    bit without its grid-sized temporaries.
+    """
+    block = 8192
+    steps = np.empty(grid.size - 1)
+    for lo in range(0, steps.size, block):
+        g = grid[lo : lo + block + 1]
+        b = _bump(g)
+        steps[lo : lo + g.size - 1] = 0.5 * (b[:-1] + b[1:]) * np.diff(g)
+    anti = np.empty(grid.size)
+    anti[0] = 0.0
+    np.cumsum(steps, out=anti[1:])
+    return anti
+
+
+_BUMP_ANTI = _trapezoid_antiderivative(_GRID)
 BUMP_MASS = float(_BUMP_ANTI[-1])
 
 

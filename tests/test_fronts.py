@@ -728,3 +728,65 @@ def test_as_given_evolve_refuses_fronts_that_share_an_id():
     state = front_state(fl, 0.0, xs, us, front_ids=[0, 1, 0])
     with pytest.raises(InvariantViolation, match="front id 0 is held by more than one front"):
         evolve(state, fl, 4.0, mode="as_given")
+
+
+@pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps, _spliced])
+def test_front_ids_are_int32_in_every_snapshot_and_lifetime_row(build):
+    traj = build()
+    assert len(traj.events) > 0
+    ids = [s.front_ids for s in traj.snapshots] + [traj.lifetimes().front_id]
+    assert all(a.dtype == np.int32 for a in ids)
+
+
+def test_front_ids_are_int32_from_every_snapshot_constructor():
+    fl = burgers_flux(2.0)
+    given = front_state(fl, 0.0, [0.0, 1.0], [-1.0, 1.0, 0.0], front_ids=[7, 9])
+    assert given.front_ids.dtype == np.int32 and given.front_ids.tolist() == [7, 9]
+    resolved = entropic_resolve_state(fl, given, 0.25)
+    fan = from_fan(solve_riemann(fl, -1.0, 1.0), 1.0, 0.25)
+    for snap in (resolved, fan, state_from_data(fl, [0.0], [1.0, 0.0])):
+        assert snap.front_ids.dtype == np.int32
+        assert snap.front_ids.tolist() == list(range(snap.n_fronts))
+
+
+def test_front_ids_outside_int32_are_refused_by_name():
+    fl = burgers_flux()
+    with pytest.raises(InvariantViolation, match="front id 2147483648 outside the int32 range"):
+        front_state(fl, 0.0, [0.0], [1.0, 0.0], front_ids=[2**31])
+    with pytest.raises(InvariantViolation, match="front id -2147483649 outside the int32 range"):
+        front_state(fl, 0.0, [0.0], [1.0, 0.0], front_ids=[-(2**31) - 1])
+    wide = np.array([2**31], dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="front id 2147483648 outside the int32 range"):
+        FrontState(0.0, np.zeros(1), np.array([1.0, 0.0]), np.full(1, 0.5), ("s",), wide)
+    # an int64 id inside the range keeps its value
+    fine = FrontState(0.0, np.zeros(1), np.array([1.0, 0.0]), np.full(1, 0.5), ("s",),
+                      np.array([2**31 - 1], dtype=np.int64))
+    assert fine.front_ids.dtype == np.int32 and fine.front_ids.tolist() == [2**31 - 1]
+
+
+def test_tracker_refuses_to_mint_an_id_past_the_int32_limit():
+    """The two shocks of Burgers (1, 0.5, 0) merge at t = 2; the merged
+    front takes the next id, one past the largest given."""
+    fl = burgers_flux(1.0)
+    ok = evolve(front_state(fl, 0.0, [0.0, 1.0], [1.0, 0.5, 0.0], front_ids=[0, 2**31 - 2]),
+                fl, 3.0, mode="as_given")
+    assert [e.time for e in ok.events] == pytest.approx([2.0])
+    assert ok.snapshots[-1].front_ids.tolist() == [2**31 - 1]
+    last = front_state(fl, 0.0, [0.0, 1.0], [1.0, 0.5, 0.0], front_ids=[0, 2**31 - 1])
+    with pytest.raises(InvariantViolation, match="front id 2147483648 would pass the int32 limit"):
+        evolve(last, fl, 3.0, mode="as_given")
+
+
+def test_a_stored_front_costs_29_bytes():
+    """8 bytes each for position, state and speed, 4 for the id and 1 for
+    the kind code; each snapshot adds 8 for its last state."""
+    traj = _entropic_100_jumps()
+    snaps = traj.snapshots
+    nbytes = sum(
+        a.nbytes
+        for s in snaps
+        for a in (s.positions, s.states, s.speeds, s.kinds.codes, s.front_ids)
+    )
+    stored = sum(s.n_fronts for s in snaps)
+    assert stored > 10_000
+    assert nbytes == 29 * stored + 8 * len(snaps)

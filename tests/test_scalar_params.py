@@ -16,6 +16,12 @@ from clawlab.entropy import (
     check_e_condition_fan,
     check_e_condition_samples,
     check_e_condition_state,
+    delta_density,
+    delta_density_chord,
+    jump_abs_ep_rate_kinetic,
+    jump_ep_rate,
+    jump_ep_rate_kinetic,
+    kinetic_density,
     kruzhkov_pair,
 )
 from clawlab.errors import FluxRangeError
@@ -90,6 +96,19 @@ CALLS = [
      lambda v: l1_step_vs_fn([0.0], [1.0, 0.0], np.zeros_like, -1.0, v)),
     ("l1_step_vs_fn", "max_cell", True,
      lambda v: l1_step_vs_fn([0.0], [1.0, 0.0], np.zeros_like, -1.0, 1.0, v)),
+    *[(fn.__name__, name, False,
+       lambda v, fn=fn, i=i: fn(FL, v, 0.0) if i == 0 else fn(FL, 0.5, v))
+      for fn, names in (
+          (jump_ep_rate, ("u_minus", "u_plus")),
+          (jump_ep_rate_kinetic, ("u_minus", "u_plus")),
+          (jump_abs_ep_rate_kinetic, ("u_minus", "u_plus")),
+          (delta_density, ("a", "b")),
+          (delta_density_chord, ("a", "b")),
+      )
+      for i, name in enumerate(names)],
+    ("kinetic_density", "u_minus", False, lambda v: kinetic_density(FL, v, 0.0, 0.25)),
+    ("kinetic_density", "u_plus", False, lambda v: kinetic_density(FL, 0.5, v, 0.25)),
+    ("kinetic_density", "a", False, lambda v: kinetic_density(FL, 0.5, 0.0, [0.25, v])),
 ]
 
 CASES = [

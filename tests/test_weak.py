@@ -18,6 +18,7 @@ from clawlab import (
     trajectory_max_residual,
     trajectory_weak_residual,
 )
+from clawlab import weak
 from clawlab.fronts import FrontState, Trajectory
 from clawlab.riemann import Rarefaction, Shock, WaveFan
 
@@ -123,3 +124,11 @@ def test_single_bump_residual_is_signed_zero_not_cancellation():
     traj = evolve(state_from_data(fl, [0.0], [1.0, 0.0]), fl, 1.0)
     for psi in bump_battery(-1.5, 2.0, 0.0, 1.0):
         assert abs(trajectory_weak_residual(traj, psi)) <= WEAK_TOL
+
+
+def test_block_built_bump_table_is_the_one_shot_formula_bit_for_bit():
+    grid = weak._GRID
+    b = weak._bump(grid)
+    one_shot = np.concatenate(([0.0], np.cumsum(0.5 * (b[:-1] + b[1:]) * np.diff(grid))))
+    # 160,001 points: 19 full blocks of steps and one partial one
+    assert weak._BUMP_ANTI.tobytes() == one_shot.tobytes()
