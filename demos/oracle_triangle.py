@@ -23,11 +23,9 @@ from clawlab import (
     get_scenario,
     l1_step_vs_fn,
     l1_steps,
-    make_flux,
     potential_from_step,
     run_godunov,
     sample_oracle,
-    state_from_data,
 )
 
 OUT = Path(__file__).resolve().parent / "out"
@@ -36,10 +34,10 @@ OUT = Path(__file__).resolve().parent / "out"
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     scen = get_scenario("two_shock_merge")
-    flux = make_flux("burgers", domain_radius=scen.flux_radius)
+    flux = scen.make_flux()
     t = scen.t_end
 
-    traj = evolve(state_from_data(flux, scen.xs, scen.us), flux, t_end=t)
+    traj = evolve(scen.initial_state(flux), flux, t_end=t)
     ft_xs, ft_us = traj.state_at(t).to_step()
 
     run = run_godunov(flux, scen.xs, scen.us, t_end=t, n_cells=1600)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from clawlab import evaluate_fan, fan_ep_rate, make_flux
+from clawlab import fan_ep_rate, make_flux, sample_fan
 
 CASES = [
     ("shock", 1.0, 0.0),
@@ -46,7 +46,7 @@ def main() -> None:
             rate = fan_ep_rate(fan)
             print(f"  ({u_l:+.1f},{u_r:+.1f}) {label:<10s} {describe(fan)}"
                   f"  ep_rate={rate:.6f}")
-            us = np.array([evaluate_fan(fan, x / t) for x in xs])
+            us = sample_fan(fan, t, xs)
             path = OUT / f"riemann_{flux_name}_{label}.dat"
             np.savetxt(path, np.column_stack([xs, us]), header="x u(x,1)")
         print()

@@ -10,14 +10,11 @@ from .entropy import (
     EConditionReport,
     EntropyLedger,
     EntropyPair,
-    FrontAdmissibility,
     LedgerRow,
     Window,
-    chebyshev_levels,
     check_e_condition_fan,
     check_e_condition_samples,
     check_e_condition_state,
-    check_entropy_inequality,
     combined_entropy_P,
     delta_density,
     delta_density_chord,
@@ -68,8 +65,6 @@ from .fronts import (
     evolve,
     from_fan,
     front_state,
-    l1_between_states,
-    linf,
     mass,
     resolve_jump,
     state_from_data,
@@ -90,9 +85,6 @@ from .godunov import (
 from .hopflax import (
     PotentialData,
     hopf_lax_minimizer,
-    hopf_lax_value,
-    oracle_u,
-    potential_from_state,
     potential_from_step,
     sample_oracle,
     sample_potential,
@@ -106,9 +98,7 @@ from .riemann import (
     family_sweep,
     fan_breakpoints,
     fan_from_dict,
-    fan_from_json,
     fan_to_dict,
-    fan_to_json,
     non_entropic_family,
     random_family_member,
     sample_fan,
@@ -132,7 +122,6 @@ from .weak import (
     fan_weak_residual,
     bump_battery,
     trajectory_max_residual,
-    trajectory_weak_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,10 +28,10 @@ exposed by the delta-audit CLI command.
 Each quantity has one formula, elementwise over jumps: arrays give
 arrays, scalars give float. The public jump functions check their states
 against the flux band (and kinetic_density its levels for finiteness);
-the ledgers, fan rates and admissibility checks, whose states are tracked
-and already checked, call the private kernels. The ledgers clip every
-front lifetime to the window in one array pass, with the clip behind both
-clip_front methods, and add the clipped rows up in row order.
+the ledgers and fan rates, whose states are tracked and already checked,
+call the private kernels. The ledgers clip every front lifetime to the
+window in one array pass, with the clip that Window and the trapezoid
+share, and add the clipped rows up in row order.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ ArrayLike = float | np.ndarray
 _KINETIC_TOL = 1e-12  # absolute tolerance of the kinetic rates' level quadrature
 _PAIR_SAMPLES, _PAIR_TOL = 257, 1e-5  # validate_pair's audit
 _FAN_SAMPLES = 33  # points per rarefaction in check_e_condition_fan
-_N_LEVELS = 33  # Chebyshev levels per front in check_entropy_inequality
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,6 @@ def delta_density_chord(flux: ConvexFlux, a: ArrayLike, b: ArrayLike) -> ArrayLi
     downstream consumes it. a and b must lie in the flux band.
     """
     _check_states(flux, a, b, ("a", "b"))
-    return _delta_density_chord(flux, a, b)
-
-
-def _delta_density_chord(flux: ConvexFlux, a, b) -> ArrayLike:
-    """delta_density_chord without its checks."""
     trap, F_a, F_b = _jump_terms(flux, a, b)
     return _per_h1_length(flux, a, b, trap - (F_b - F_a))
 
@@ -326,23 +320,6 @@ def fan_ep_rate(fan: WaveFan) -> float:
 
 
 # ---------------------------------------------------------------------------
-# level sampling helpers
-
-
-def chebyshev_levels(lo: float, hi: float, n: int = 33, margin: float = 1e-6):
-    """n Chebyshev points inside [lo, hi] plus just-outside probes.
-
-    Returns (inside, outside): the sign audit runs on `inside`, the
-    compact-support audit on `outside` = lo - margin, hi + margin.
-    """
-    k = np.arange(1, n + 1)
-    nodes = np.cos((2 * k - 1) * np.pi / (2 * n))
-    inside = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    outside = np.array([lo - margin, hi + margin])
-    return np.sort(inside), outside
-
-
-# ---------------------------------------------------------------------------
 # pointwise admissibility checks
 
 
@@ -396,12 +373,16 @@ def check_e_condition_samples(
 ) -> EConditionReport:
     """One-sided Lipschitz condition u(y) - u(x) <= (y - x)/(c t) + slack.
 
-    xs, us are point samples of the profile at time t; every ordered pair
-    is checked (O(n log n) via the running-minimum reduction).
+    xs, us are point samples of the profile at time t, as many of each and
+    all finite; every ordered pair is checked (O(n log n) via the
+    running-minimum reduction).
     """
-    return _econd_core(
-        np.asarray(xs, dtype=float), np.asarray(us, dtype=float), [], t, c, slack
-    )
+    xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
+    if xs.size != us.size:
+        raise FluxRangeError(f"need len(xs) == len(us), got {xs.size} and {us.size}")
+    check_finite("xs", xs)
+    check_finite("us", us)
+    return _econd_core(xs, us, [], t, c, slack)
 
 
 def check_e_condition_state(state, c: float, slack: float = 0.0) -> EConditionReport:
@@ -459,48 +440,6 @@ def check_e_condition_fan(
     return _econd_core(np.asarray(xs), np.asarray(us), zero_pairs, t, c, slack)
 
 
-@dataclass(frozen=True)
-class FrontAdmissibility:
-    index: int
-    u_minus: float
-    u_plus: float
-    entropic: bool
-    density_sign_consistent: bool
-    compact_support_ok: bool
-
-
-def check_entropy_inequality(state, flux: ConvexFlux):
-    """Per-front admissibility report for a tracked snapshot.
-
-    A front is entropic when it descends; the kinetic density sampled at
-    Chebyshev levels must be single-signed accordingly and vanish just
-    outside the state interval.
-    """
-    reports: list[FrontAdmissibility] = []
-    pos = np.asarray(state.positions, dtype=float)
-    vals = np.asarray(state.states, dtype=float)
-    for i in range(len(pos)):
-        um = float(vals[i])
-        up = float(vals[i + 1])
-        if um == up:
-            reports.append(FrontAdmissibility(i, um, up, True, True, True))
-            continue
-        lo, hi = min(um, up), max(um, up)
-        inside, outside = chebyshev_levels(lo, hi, _N_LEVELS)
-        k_in = np.asarray(_kinetic_density(flux, um, up, inside))
-        k_out = np.asarray(_kinetic_density(flux, um, up, outside))
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(k_in))) if k_in.size else 1.0)
-        if um > up:
-            sign_ok = bool(np.all(k_in >= -tol))
-        else:
-            sign_ok = bool(np.all(k_in <= tol))
-        support_ok = bool(np.all(np.abs(k_out) <= 1e-9 * max(1.0, abs(um), abs(up))))
-        reports.append(
-            FrontAdmissibility(i, um, up, um > up, sign_ok, support_ok)
-        )
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # windows and trajectory ledgers
 
@@ -529,14 +468,6 @@ class _Domain:
             hi = np.where((side * rel < 0.0) & (root < hi), root, hi)
             hi = np.where((rel == 0.0) & (side * gap > 0.0), -np.inf, hi)
         return lo, hi
-
-    def clip_front(
-        self, t_a: float, t_b: float, x_a: float, sigma: float
-    ) -> tuple[float, float]:
-        """Sub-interval of [t_a, t_b] the front x(t) = x_a + sigma (t - t_a)
-        spends inside the domain. Returns (lo, hi) with lo >= hi if empty."""
-        lo, hi = self.clip(t_a, t_b, x_a, sigma)
-        return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -629,13 +560,12 @@ def total_ep_kinetic(traj, window: Window) -> float:
     return _left_sum(_kinetic_rates(traj.flux, um, up)[1] * (hi - lo))
 
 
-def total_ep_delta_h1(traj, window: Window, use_chord_delta: bool = False) -> float:
+def total_ep_delta_h1(traj, window: Window) -> float:
     """Absolute EP through the jump-set route: Delta integrated in H^1 length.
 
     Each front lifetime contributes Delta(u_-, u_+) times its H^1 length
     inside the window, sqrt(1 + sigma^2) x duration.
     """
-    density = _delta_density_chord if use_chord_delta else _delta_density
     _, um, up, sigma, lo, hi = _rows_inside(traj, window)
     h1 = (hi - lo) * np.sqrt(1.0 + sigma * sigma)
-    return _left_sum(density(traj.flux, um, up) * h1)
+    return _left_sum(_delta_density(traj.flux, um, up) * h1)

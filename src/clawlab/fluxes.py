@@ -21,7 +21,7 @@ computation in this package lives on a bounded band where it is vacuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,10 +62,6 @@ class ConvexFlux:
     def __post_init__(self):
         check_positive("ddf_lower_bound", self.ddf_lower_bound)
         check_positive("domain_radius", self.domain_radius)
-
-    def with_radius(self, radius: float) -> "ConvexFlux":
-        """Same flux on a different working band."""
-        return replace(self, domain_radius=float(radius))
 
 
 def _quadrature_antiderivative(fn: Callable) -> Callable:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .compare import l1_steps, step_data, step_values
+from .compare import step_data, step_values
 from .errors import FluxRangeError, InvariantViolation
 from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux, _band_bound, _check_band, chord_slopes
@@ -500,15 +500,6 @@ def mass(state: FrontState) -> float:
         )
     widths = np.diff(state.positions)
     return float(np.dot(vals[1:-1], widths))
-
-
-def linf(state: FrontState) -> float:
-    return float(np.max(np.abs(state.states)))
-
-
-def l1_between_states(a: FrontState, b: FrontState) -> float:
-    """Exact L1 distance between two step functions with matching tails."""
-    return l1_steps(*a.to_step(), *b.to_step())
 
 
 # ---------------------------------------------------------------------------

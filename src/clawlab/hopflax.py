@@ -25,9 +25,10 @@ evaluated at once as one (points x pieces) array. Nothing is sampled in
 y, so no piece is too narrow to be seen and there is no seed spacing or
 search tolerance to choose.
 
-oracle_u is the centred difference (g(x + h) - g(x - h)) / 2h. Next to
-a shock it is intermediate (the quotient straddles the jump), so callers
-compare pointwise only away from fronts, and otherwise in L1.
+sample_oracle takes the solution value as the centred difference
+(g(x + h) - g(x - h)) / 2h. Next to a shock that value is intermediate
+(the quotient straddles the jump), so callers compare it pointwise only
+away from fronts, and otherwise in L1.
 """
 
 from __future__ import annotations
@@ -65,20 +66,10 @@ class PotentialData:
         shift = step_primitive(xs, us, 0.0) if xs.size else 0.0
         return step_primitive(xs, us, y) - shift
 
-    @property
-    def lipschitz_bound(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def potential_from_step(xs, us) -> PotentialData:
     """Piecewise-linear primitive of the step function (xs, us)."""
     return PotentialData(xs, us)
-
-
-def potential_from_state(state) -> PotentialData:
-    """Primitive of a front-tracking snapshot, as step data."""
-    xs, us = state.to_step()
-    return potential_from_step(xs, us)
 
 
 def _minimize(
@@ -115,26 +106,16 @@ def hopf_lax_minimizer(
     return float(y[0]), float(g[0])
 
 
-def hopf_lax_value(data: PotentialData, flux: ConvexFlux, x: float, t: float) -> float:
-    return hopf_lax_minimizer(data, flux, x, t)[1]
-
-
-def oracle_u(
-    data: PotentialData, flux: ConvexFlux, x: float, t: float, h: float = 1e-6
-) -> float:
-    """Central difference quotient of the potential: the solution value.
+def sample_oracle(
+    data: PotentialData, flux: ConvexFlux, xs, t: float, h: float = 1e-6
+) -> np.ndarray:
+    """Central difference quotient of the potential at every point of xs:
+    the solution value, from one call for all 2n potentials.
 
     Away from fronts this is the entropy solution to O(h / t); straddling
     a front it returns an intermediate value, so compare it pointwise
     only away from fronts.
     """
-    return float(sample_oracle(data, flux, [x], t, h)[0])
-
-
-def sample_oracle(
-    data: PotentialData, flux: ConvexFlux, xs, t: float, h: float = 1e-6
-) -> np.ndarray:
-    """oracle_u at every point of xs, from one call for all 2n potentials."""
     check_positive("h", h)
     xs = np.ravel(np.asarray(xs, dtype=float))
     check_finite("xs", xs)

@@ -18,13 +18,13 @@ ordered speeds 0.25, 0.5 and 0.75. The generator does not build them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FanOrderingError, FluxRangeError, UnsupportedFamilyError, check_positive
+from .errors import FanOrderingError, FluxRangeError, UnsupportedFamilyError
+from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux, _check_band, chord_slope, inverse_derivative
 
 EXPANSION_SHOCK = "expansion_shock"
@@ -32,7 +32,6 @@ RAREFACTION = "rarefaction"
 ENTROPIC_SHOCK = "entropic_shock"
 
 _SPEED_TOL = 1e-12
-_JSON_INDENT = 2
 
 
 @dataclass(frozen=True)
@@ -280,10 +279,11 @@ def evaluate_fan(fan: WaveFan, omega: float | np.ndarray) -> float | np.ndarray:
 
     Constant between wave supports; (f')^{-1}(omega) inside a rarefaction.
     At a shock speed the left limit is returned, so the profile is the
-    caglad representative in omega.
+    caglad representative in omega. Every omega must be finite.
     """
     flux = fan.flux
     arr = np.atleast_1d(np.asarray(omega, dtype=float))
+    check_finite("omega", arr)
     out = np.full(arr.shape, fan.left_state, dtype=float)
     for w in fan.waves:
         lo, hi = w.support
@@ -349,10 +349,6 @@ def fan_to_dict(fan: WaveFan) -> dict:
     }
 
 
-def fan_to_json(fan: WaveFan) -> str:
-    return json.dumps(fan_to_dict(fan), indent=_JSON_INDENT, sort_keys=True)
-
-
 def fan_from_dict(flux: ConvexFlux, data: dict) -> WaveFan:
     """Rebuild and re-validate a fan serialized by fan_to_dict."""
     waves: list[Wave] = []
@@ -374,10 +370,6 @@ def fan_from_dict(flux: ConvexFlux, data: dict) -> WaveFan:
     return fan
 
 
-def fan_from_json(flux: ConvexFlux, text: str) -> WaveFan:
-    return fan_from_dict(flux, json.loads(text))
-
-
 def fan_breakpoints(fan: WaveFan) -> list[float]:
     """All support endpoints, ascending; sectors between them are smooth."""
     pts: list[float] = []
@@ -392,6 +384,8 @@ def fan_breakpoints(fan: WaveFan) -> list[float]:
 def sample_fan(
     fan: WaveFan, t: float, xs: np.ndarray
 ) -> np.ndarray:
-    """Profile u(x, t) = fan value at omega = x / t for t > 0."""
+    """Profile u(x, t) = fan value at omega = x / t for t > 0 and finite xs."""
     check_positive("t", t)
-    return np.asarray(evaluate_fan(fan, np.asarray(xs, dtype=float) / t))
+    xs = np.asarray(xs, dtype=float)
+    check_finite("xs", xs)
+    return np.asarray(evaluate_fan(fan, xs / t))

@@ -146,11 +146,10 @@ class LambdaTrace:
     crossings: list[Crossing] = field(default_factory=list)
 
     def value_at(self, s: float | np.ndarray):
+        """Left-limit trace value at every point of s, which must be finite."""
+        s = np.asarray(s, dtype=float)
+        check_finite("s", s)
         return step_values(self.s_breaks, self.values, s)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:

@@ -175,11 +175,6 @@ def default_battery_for(traj) -> list[BumpTest]:
     return bump_battery(lo - pad, hi + pad, traj.t_start, traj.t_end)
 
 
-def trajectory_weak_residual(traj, psi: BumpTest) -> float:
-    """Residual of a tracked trajectory against one bump."""
-    return _front_sum(traj.flux, traj.t_start, traj.lifetimes(), psi)
-
-
 def _front_sum(flux, t0, rows, psi: BumpTest) -> float:
     """One Gauss sum over front lifetimes x time panels x nodes.
 

@@ -12,11 +12,9 @@ from clawlab import (
     TrapezoidDomain,
     Window,
     burgers_flux,
-    chebyshev_levels,
     check_e_condition_fan,
     check_e_condition_samples,
     check_e_condition_state,
-    check_entropy_inequality,
     chord_slope,
     combined_entropy_P,
     cosh_flux,
@@ -89,7 +87,7 @@ def test_kinetic_quadrature_matches_closed_form(flux):
 
 
 @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda fl: fl.name)
-def test_kinetic_density_support_and_sign(flux):
+def test_kinetic_density_support_and_sign(flux, chebyshev_levels):
     rng = np.random.default_rng(8)
     for a, b in _random_pairs(rng, flux.domain_radius, 40):
         lo, hi = min(a, b), max(a, b)
@@ -219,13 +217,24 @@ def test_fan_ep_rate_staircase_decay():
 # admissibility checks
 
 
-def test_chebyshev_levels_layout():
+def test_chebyshev_levels_layout(chebyshev_levels):
     inside, outside = chebyshev_levels(-0.5, 1.5, 17, margin=1e-4)
     assert inside.size == 17
     assert np.all(np.diff(inside) > 0)
     assert np.all((inside > -0.5) & (inside < 1.5))
     assert outside[0] == pytest.approx(-0.5001)
     assert outside[1] == pytest.approx(1.5001)
+
+
+def test_econd_samples_refuse_a_nan_and_unequal_lengths():
+    # without the NaN the pair (0, 2) violates the condition by 3; with it
+    # the check once held with worst_excess 0.0, and extra values were ignored
+    assert check_e_condition_samples([0, 2], [0, 5], 1, 1).worst_excess == 3.0
+    with pytest.raises(FluxRangeError, match=r"us\[1\] = nan is not finite"):
+        check_e_condition_samples([0, 1, 2], [0, np.nan, 5], 1, 1)
+    for xs, us in (([0.0], [0, 5, 1]), ([0, 1, 2], [0, 1])):
+        with pytest.raises(FluxRangeError, match=r"need len\(xs\) == len\(us\)"):
+            check_e_condition_samples(xs, us, 1, 1)
 
 
 def test_econd_samples_brute_oracle():
@@ -297,18 +306,13 @@ def test_kruzhkov_pair_rejects_non_finite_level(a):
         kruzhkov_pair(burgers_flux(), a)
 
 
-def test_per_front_admissibility_report():
-    fl = burgers_flux()
-    state = state_from_data(fl, [-1.0, 1.0], [1.0, 0.0, 0.8], time=0.5)
-    front0, front1 = check_entropy_inequality(state, fl)
-    assert front0.entropic and front0.density_sign_consistent
-    assert front0.compact_support_ok
-    assert not front1.entropic  # ascending jump
-    assert front1.density_sign_consistent and front1.compact_support_ok
-
-
 # ---------------------------------------------------------------------------
 # windows and ledgers
+
+
+def clip(dom, t_a, t_b, x_a, sigma):
+    """The times one front spends inside dom, as two floats."""
+    return tuple(map(float, dom.clip(t_a, t_b, x_a, sigma)))
 
 
 def test_clip_front_brute_indicator():
@@ -320,7 +324,7 @@ def test_clip_front_brute_indicator():
         t_b = t_a + float(rng.uniform(0.01, 0.5))
         x_a = float(rng.uniform(-1.0, 1.0))
         sigma = float(rng.uniform(-2.0, 2.0))
-        lo, hi = win.clip_front(t_a, t_b, x_a, sigma)
+        lo, hi = clip(win, t_a, t_b, x_a, sigma)
         mask = (ts >= t_a) & (ts <= t_b) & (ts >= win.t_lo) & (ts <= win.t_hi)
         x = x_a + sigma * (ts - t_a)
         mask &= (x >= win.x_lo) & (x <= win.x_hi)
@@ -355,9 +359,6 @@ def test_ledger_triple_agreement_with_expansion_shocks():
     ledger = total_ep(traj, win)
     assert ledger.total_abs == pytest.approx(total_ep_kinetic(traj, win), abs=1e-9)
     assert ledger.total_abs == pytest.approx(total_ep_delta_h1(traj, win), abs=1e-12)
-    assert total_ep_delta_h1(traj, win, use_chord_delta=True) != pytest.approx(
-        ledger.total_abs, abs=1e-3
-    )
     # the two parallel unit jumps cancel in the signed total but not in |D|
     assert ledger.total_signed == pytest.approx(0.0, abs=1e-15)
     assert ledger.total_abs == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -429,16 +430,6 @@ def _ref_delta_density(flux, a, b):
     return abs(_ref_jump_ep_rate(flux, a, b)) / _ref_h1_factor(flux, a, b)
 
 
-def _ref_delta_density_chord(flux, a, b):
-    if a == b:
-        return 0.0
-    F = flux.antiderivative_F
-    fa = float(np.asarray(flux.f(a)))
-    fb = float(np.asarray(flux.f(b)))
-    num = (a - b) * 0.5 * (fa + fb) - (float(np.asarray(F(b))) - float(np.asarray(F(a))))
-    return abs(num) / _ref_h1_factor(flux, a, b)
-
-
 def _ref_kinetic_rates(flux, u_minus, u_plus, tol):
     um, up = np.atleast_1d(u_minus).astype(float), np.atleast_1d(u_plus).astype(float)
     jumps = um != up
@@ -453,14 +444,14 @@ def _ref_kinetic_rates(flux, u_minus, u_plus, tol):
 
 
 def _ref_ledgers(traj, window):
-    """(rows, total_signed, total_abs, kinetic, delta_h1, delta_h1_chord)."""
+    """(rows, total_signed, total_abs, kinetic, delta_h1)."""
     flux = traj.flux
     clipped = []
     for fid, t_b, t_d, x_b, sigma, um, up in traj.lifetimes():
         lo, hi = _ref_clip_front(window, t_b, t_d, x_b, sigma)
         if hi > lo:
             clipped.append((fid, um, up, sigma, lo, hi))
-    rows, signed, absolute, via_delta, via_chord = [], 0.0, 0.0, 0.0, 0.0
+    rows, signed, absolute, via_delta = [], 0.0, 0.0, 0.0
     for fid, um, up, sigma, lo, hi in clipped:
         rate = _ref_jump_ep_rate(flux, um, up)
         delta = _ref_delta_density(flux, um, up)
@@ -468,16 +459,13 @@ def _ref_ledgers(traj, window):
         signed += rate * (hi - lo)
         absolute += abs(rate) * (hi - lo)
         via_delta += delta * ((hi - lo) * math.sqrt(1.0 + sigma * sigma))
-        via_chord += _ref_delta_density_chord(flux, um, up) * (
-            (hi - lo) * math.sqrt(1.0 + sigma * sigma)
-        )
     kinetic = 0.0
     if clipped:
         _, um, up, _, lo, hi = (np.array(col) for col in zip(*clipped))
         # sum() over this list, which adds left to right before Python 3.12
         for v in (_ref_kinetic_rates(flux, um, up, 1e-12)[1] * (hi - lo)).tolist():
             kinetic += v
-    return rows, signed, absolute, kinetic, via_delta, via_chord
+    return rows, signed, absolute, kinetic, via_delta
 
 
 def _bits(values):
@@ -501,7 +489,7 @@ def test_array_ledgers_match_per_row_reference_bit_for_bit(flux, mode):
         us = rng.uniform(-1.5, 1.5, n + 1)
         traj = evolve(state_from_data(flux, xs, us), flux, 1.0, mode=mode, rarefaction_step=0.1)
         for win in LEDGER_WINDOWS:
-            rows, signed, absolute, kinetic, via_delta, via_chord = _ref_ledgers(traj, win)
+            rows, signed, absolute, kinetic, via_delta = _ref_ledgers(traj, win)
             ledger = total_ep(traj, win)
             assert [_bits(astuple(r)) for r in ledger.rows] == [_bits(r) for r in rows]
             got = [
@@ -509,9 +497,8 @@ def test_array_ledgers_match_per_row_reference_bit_for_bit(flux, mode):
                 ledger.total_abs,
                 total_ep_kinetic(traj, win),
                 total_ep_delta_h1(traj, win),
-                total_ep_delta_h1(traj, win, use_chord_delta=True),
             ]
-            assert _bits(got) == _bits([signed, absolute, kinetic, via_delta, via_chord])
+            assert _bits(got) == _bits([signed, absolute, kinetic, via_delta])
 
 
 @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.name)
@@ -547,21 +534,21 @@ def test_window_rejects_nan_and_inverted_edges():
     ]:
         with pytest.raises(FluxRangeError):
             Window(*edges)
-    assert Window(0.0, 1.0, -np.inf, np.inf).clip_front(0.0, 2.0, 5.0, 1.0) == (0.0, 1.0)
-    assert Window(0.5, 0.5).clip_front(0.0, 1.0, 0.0, 0.0) == (0.5, 0.5)
+    assert clip(Window(0.0, 1.0, -np.inf, np.inf), 0.0, 2.0, 5.0, 1.0) == (0.0, 1.0)
+    assert clip(Window(0.5, 0.5), 0.0, 1.0, 0.0, 0.0) == (0.5, 0.5)
 
 
 def test_front_along_an_edge_counts_as_inside():
     win = Window(0.0, 1.0, x_lo=0.5, x_hi=1.5)
-    assert win.clip_front(0.0, 2.0, 0.5, 0.0) == (0.0, 1.0)
-    assert win.clip_front(0.0, 2.0, 1.5, 0.0) == (0.0, 1.0)
-    lo, hi = win.clip_front(0.0, 2.0, 0.25, 0.0)
+    assert clip(win, 0.0, 2.0, 0.5, 0.0) == (0.0, 1.0)
+    assert clip(win, 0.0, 2.0, 1.5, 0.0) == (0.0, 1.0)
+    lo, hi = clip(win, 0.0, 2.0, 0.25, 0.0)
     assert lo >= hi
     # lateral edges x = +-(0.25 + 2 t) of a trapezoid with lambda_hat = 1/2
     dom = TrapezoidDomain(t1=0.0, t2=1.0, delta=0.25, lambda_hat=0.5)
-    assert dom.clip_front(0.0, 2.0, 0.25, 2.0) == (0.0, 1.0)
-    assert dom.clip_front(0.0, 2.0, -0.25, -2.0) == (0.0, 1.0)
-    lo, hi = dom.clip_front(0.0, 2.0, 0.3, 2.0)
+    assert clip(dom, 0.0, 2.0, 0.25, 2.0) == (0.0, 1.0)
+    assert clip(dom, 0.0, 2.0, -0.25, -2.0) == (0.0, 1.0)
+    lo, hi = clip(dom, 0.0, 2.0, 0.3, 2.0)
     assert lo >= hi
 
 

@@ -1,5 +1,6 @@
 """Flux catalog: closed forms, inverses, conjugates, and their oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_nan_fails_every_band_check(flux):
         lambda: inverse_derivative(flux, np.array([0.0, nan])),
         lambda: solve_riemann(flux, 0.0, nan),
         lambda: front_state(flux, 0.0, [0.0, 1.0], [0.0, nan, 0.5]),
-        lambda: flux.with_radius(nan),
+        lambda: replace(flux, domain_radius=nan),
         lambda: make_convex_flux("x", flux.f, flux.df, ddf_lower_bound=nan),
         lambda: make_convex_flux("x", flux.f, flux.df, 1.0, domain_radius=nan),
     ]
@@ -298,11 +299,11 @@ def test_poly4_closed_forms_match_exact_rationals():
         assert worst <= 4 * eps, (name, worst / eps)
 
 
-def test_with_radius_rescopes_band():
+def test_replaced_radius_rescopes_band():
     fl = burgers_flux(1.0)
     with pytest.raises(FluxRangeError):
         inverse_derivative(fl, 1.5)
-    wider = fl.with_radius(2.0)
+    wider = replace(fl, domain_radius=2.0)
     assert inverse_derivative(wider, 1.5) == pytest.approx(1.5)
 
 

@@ -9,10 +9,7 @@ from clawlab import (
     cosh_flux,
     evolve,
     hopf_lax_minimizer,
-    hopf_lax_value,
     l1_step_vs_fn,
-    oracle_u,
-    potential_from_state,
     potential_from_step,
     sample_oracle,
     sample_potential,
@@ -44,7 +41,7 @@ def test_potential_matches_brute_integral():
         us = rng.uniform(-1.5, 1.5, size=n + 1)
         data = potential_from_step(xs, us)
         assert data.g0(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert data.lipschitz_bound == pytest.approx(float(np.max(np.abs(us))))
+        assert np.max(np.abs(data.values)) == pytest.approx(float(np.max(np.abs(us))))
         for y in rng.uniform(-4.0, 4.0, size=12):
             assert data.g0(float(y)) == pytest.approx(
                 brute_primitive(xs, us, float(y)), abs=1e-12
@@ -93,9 +90,9 @@ def test_potential_data_reads_step_data_like_potential_from_step(xs, us):
 def test_value_needs_positive_time():
     data = potential_from_step([0.0], [1.0, 0.0])
     with pytest.raises(FluxRangeError):
-        hopf_lax_value(data, burgers_flux(), 0.0, 0.0)
+        hopf_lax_minimizer(data, burgers_flux(), 0.0, 0.0)
     with pytest.raises(FluxRangeError):
-        oracle_u(data, burgers_flux(), 0.0, 1.0, h=0.0)
+        sample_oracle(data, burgers_flux(), [0.0], 1.0, h=0.0)
 
 
 def test_value_closed_form_shock():
@@ -106,7 +103,7 @@ def test_value_closed_form_shock():
     for _ in range(40):
         t = float(rng.uniform(0.2, 2.0))
         x = float(rng.uniform(-2.0, 2.0))
-        assert hopf_lax_value(data, fl, x, t) == pytest.approx(
+        assert hopf_lax_minimizer(data, fl, x, t)[1] == pytest.approx(
             min(x - 0.5 * t, 0.0), abs=1e-11
         )
 
@@ -123,7 +120,7 @@ def test_value_closed_form_rarefaction():
                 want = x * x / (2.0 * t)
             else:
                 want = x - 0.5 * t
-            assert hopf_lax_value(data, fl, float(x), t) == pytest.approx(
+            assert hopf_lax_minimizer(data, fl, float(x), t)[1] == pytest.approx(
                 want, abs=1e-11
             )
 
@@ -141,11 +138,11 @@ def test_minimizer_is_characteristic_foot():
 def test_oracle_u_pointwise():
     fl = burgers_flux()
     shock = potential_from_step([0.0], [1.0, 0.0])
-    assert oracle_u(shock, fl, -0.4, 1.0) == pytest.approx(1.0, abs=1e-6)
-    assert oracle_u(shock, fl, 0.9, 1.0) == pytest.approx(0.0, abs=1e-6)
+    assert sample_oracle(shock, fl, [-0.4], 1.0)[0] == pytest.approx(1.0, abs=1e-6)
+    assert sample_oracle(shock, fl, [0.9], 1.0)[0] == pytest.approx(0.0, abs=1e-6)
     fan = potential_from_step([0.0], [0.0, 1.0])
     for x in (0.1, 0.45, 0.8):
-        assert oracle_u(fan, fl, x, 1.0) == pytest.approx(x, abs=1e-5)
+        assert sample_oracle(fan, fl, [x], 1.0)[0] == pytest.approx(x, abs=1e-5)
 
 
 def test_sampling_helpers_match_scalars():
@@ -155,8 +152,8 @@ def test_sampling_helpers_match_scalars():
     g = sample_potential(data, fl, xs, 0.8)
     u = sample_oracle(data, fl, xs, 0.8)
     for i, x in enumerate(xs):
-        assert g[i] == hopf_lax_value(data, fl, float(x), 0.8)
-        assert u[i] == oracle_u(data, fl, float(x), 0.8)
+        assert g[i] == hopf_lax_minimizer(data, fl, float(x), 0.8)[1]
+        assert u[i] == sample_oracle(data, fl, [float(x)], 0.8)[0]
 
 
 def test_oracle_agrees_with_front_tracking_in_l1():
@@ -176,17 +173,6 @@ def test_oracle_agrees_with_front_tracking_in_l1():
         )
         # front tracking discretizes rarefactions at 1e-3, oracle at h=1e-6
         assert err <= 2e-3
-
-
-def test_potential_from_state_matches_step():
-    fl = burgers_flux(2.0)
-    traj = evolve(state_from_data(fl, [0.0, 1.0], [2.0, 1.0, 0.0]), fl, 2.0)
-    st = traj.state_at(0.5)
-    data = potential_from_state(st)
-    xs, us = st.to_step()
-    ref = potential_from_step(xs, us)
-    for y in np.linspace(-2.0, 3.0, 21):
-        assert data.g0(float(y)) == pytest.approx(ref.g0(float(y)), abs=1e-14)
 
 
 CATALOG = ("burgers", "cosh", "poly4")
@@ -223,8 +209,8 @@ def test_value_matches_dense_brute_minimum(name):
             x = float(x)
             ys = x - t * fl.df(v)
             brute = float(np.min(data.g0(ys) + t * (v * fl.df(v) - fl.f(v))))
-            slack = (data.lipschitz_bound + R) * 0.5 * float(np.max(-np.diff(ys)))
-            got = hopf_lax_value(data, fl, x, t)
+            slack = (np.max(np.abs(us)) + R) * 0.5 * float(np.max(-np.diff(ys)))
+            got = hopf_lax_minimizer(data, fl, x, t)[1]
             assert got <= brute + 1e-12
             assert brute - got <= slack + 1e-12
 
@@ -258,8 +244,8 @@ def test_sampling_matches_scalars_for_every_flux(name):
         g = sample_potential(data, fl, pts, t)
         u = sample_oracle(data, fl, pts, t)
         for i, x in enumerate(pts):
-            assert g[i] == hopf_lax_value(data, fl, float(x), t)
-            assert u[i] == oracle_u(data, fl, float(x), t)
+            assert g[i] == hopf_lax_minimizer(data, fl, float(x), t)[1]
+            assert u[i] == sample_oracle(data, fl, [float(x)], t)[0]
 
 
 # Random step data with a piece narrower than 1% of the characteristic
@@ -297,28 +283,21 @@ def test_narrow_piece_agrees_with_front_tracking_pointwise(name, xs, us):
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
-@pytest.mark.parametrize("call", ["sample_oracle", "oracle_u", "hopf_lax_value"])
+@pytest.mark.parametrize("call", ["sample_oracle", "hopf_lax_minimizer"])
 def test_oracle_rejects_non_finite_time(call, t):
     data = potential_from_step([0.0], [1.0, 0.0])
     fl = burgers_flux()
     calls = {
         "sample_oracle": lambda: sample_oracle(data, fl, [0.1], t),
-        "oracle_u": lambda: oracle_u(data, fl, 0.1, t),
-        "hopf_lax_value": lambda: hopf_lax_value(data, fl, 0.1, t),
+        "hopf_lax_minimizer": lambda: hopf_lax_minimizer(data, fl, 0.1, t),
     }
     with pytest.raises(FluxRangeError, match=f"needs a finite t > 0, got t = {t}"):
         calls[call]()
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-6])
-@pytest.mark.parametrize("call", ["sample_oracle", "oracle_u"])
-def test_oracle_rejects_a_non_finite_or_nonpositive_step(call, h):
+def test_oracle_rejects_a_non_finite_or_nonpositive_step(h):
     # NaN once passed the h <= 0 guard and failed later with a slope error
     data = potential_from_step([0.0], [1.0, 0.0])
-    fl = burgers_flux()
-    calls = {
-        "sample_oracle": lambda: sample_oracle(data, fl, [0.1], 1.0, h=h),
-        "oracle_u": lambda: oracle_u(data, fl, 0.1, 1.0, h=h),
-    }
     with pytest.raises(FluxRangeError, match=f"needs a finite h > 0, got h = {h}"):
-        calls[call]()
+        sample_oracle(data, burgers_flux(), [0.1], 1.0, h=h)

@@ -7,6 +7,7 @@ any numerics run, so none can warn or hang.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from clawlab.errors import FluxRangeError
 from clawlab.fluxes import burgers_flux, make_convex_flux, make_flux
 from clawlab.fronts import evolve, from_fan, front_state, resolve_jump, state_from_data
 from clawlab.godunov import Grid1D
-from clawlab.hopflax import hopf_lax_value, potential_from_step, sample_oracle
-from clawlab.riemann import sample_fan, solve_riemann
-from clawlab.trapezoid import TrapezoidDomain, lambda0
+from clawlab.hopflax import hopf_lax_minimizer, potential_from_step, sample_oracle
+from clawlab.riemann import evaluate_fan, sample_fan, solve_riemann
+from clawlab.trapezoid import TrapezoidDomain, lambda0, trace_on_lambda
 from clawlab.weak import BumpTest, fan_max_residual, fan_weak_residual, trajectory_max_residual
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -43,6 +44,7 @@ DATA = potential_from_step([0.0], [1.0, 0.0])
 BUMP = BumpTest(0.0, 0.5, 0.5, 0.3)
 GRID = dict(x_min=-1.0, x_max=1.0, n_cells=4, nu=0.9, time=0.0, u=np.zeros(4))
 TRAPEZOID = dict(t1=0.0, t2=1.0, delta=0.1, lambda_hat=0.39)
+TRACE = trace_on_lambda(TRAJ, TrapezoidDomain(t1=0.25, t2=0.75, delta=0.2, lambda_hat=0.25))
 
 # (entry point, parameter, must be positive, call with the parameter set to v)
 CALLS = [
@@ -61,6 +63,10 @@ CALLS = [
      lambda v: check_e_condition_samples([0.0, 1.0], [0.0, 0.0], 1.0, v)),
     ("check_e_condition_samples", "slack", False,
      lambda v: check_e_condition_samples([0.0, 1.0], [0.0, 0.0], 1.0, 1.0, v)),
+    ("check_e_condition_samples", "xs", False,
+     lambda v: check_e_condition_samples([0.0, v], [0.0, 0.0], 1.0, 1.0)),
+    ("check_e_condition_samples", "us", False,
+     lambda v: check_e_condition_samples([0.0, 1.0], [0.0, v], 1.0, 1.0)),
     ("check_e_condition_state", "c", True, lambda v: check_e_condition_state(STATE, v)),
     ("check_e_condition_state", "slack", False,
      lambda v: check_e_condition_state(STATE, 1.0, v)),
@@ -70,21 +76,24 @@ CALLS = [
      lambda v: check_e_condition_fan(FAN, 1.0, 1.0, v)),
     ("burgers_flux", "domain_radius", True, lambda v: burgers_flux(v)),
     ("make_flux", "domain_radius", True, lambda v: make_flux("cosh", domain_radius=v)),
-    ("with_radius", "domain_radius", True, lambda v: FL.with_radius(v)),
+    ("ConvexFlux", "domain_radius", True, lambda v: replace(FL, domain_radius=v)),
     ("make_convex_flux", "ddf_lower_bound", True,
      lambda v: make_convex_flux("burgers", FL.f, FL.df, ddf_lower_bound=v)),
     ("make_convex_flux", "domain_radius", True,
      lambda v: make_convex_flux("burgers", FL.f, FL.df, 1.0, domain_radius=v)),
     *[("Grid1D", name, False, lambda v, name=name: Grid1D(**{**GRID, name: v}))
       for name in ("x_min", "x_max", "time", "tail_left", "tail_right")],
-    ("hopf_lax_value", "t", True, lambda v: hopf_lax_value(DATA, FL, 0.1, v)),
-    ("hopf_lax_value", "x", False, lambda v: hopf_lax_value(DATA, FL, v, 1.0)),
+    ("hopf_lax_minimizer", "t", True, lambda v: hopf_lax_minimizer(DATA, FL, 0.1, v)),
+    ("hopf_lax_minimizer", "x", False, lambda v: hopf_lax_minimizer(DATA, FL, v, 1.0)),
     ("sample_oracle", "t", True, lambda v: sample_oracle(DATA, FL, [0.1], v)),
     ("sample_oracle", "h", True, lambda v: sample_oracle(DATA, FL, [0.1], 1.0, h=v)),
     ("sample_oracle", "xs", False, lambda v: sample_oracle(DATA, FL, [0.1, v], 1.0)),
     ("sample_fan", "t", True, lambda v: sample_fan(FAN, v, np.zeros(3))),
+    ("sample_fan", "xs", False, lambda v: sample_fan(FAN, 1.0, [0.1, v])),
+    ("evaluate_fan", "omega", False, lambda v: evaluate_fan(FAN, v)),
     ("TrapezoidDomain", "delta", True, lambda v: TrapezoidDomain(**{**TRAPEZOID, "delta": v})),
     ("lambda0", "boundary_sup", False, lambda v: lambda0(FL, v)),
+    ("LambdaTrace.value_at", "s", False, lambda v: TRACE.value_at(v)),
     *[("BumpTest", name, name in ("ax", "bt"),
        lambda v, name=name: BumpTest(**{**vars(BUMP), name: v}))
       for name in ("x0", "t0", "ax", "bt")],
@@ -122,7 +131,8 @@ CASES = [
 def test_every_scalar_parameter_refuses_an_illegal_value_by_name(call, name, value):
     # NaN or inf once passed several of these: sample_fan gave the left
     # state, Grid1D a NaN dx, burgers_flux(inf) a Godunov run that never
-    # ends, and a BumpTest with bt <= 0 a residual of 0.0
+    # ends, a BumpTest with bt <= 0 a residual of 0.0, and a NaN sample
+    # let check_e_condition_samples hold
     with pytest.raises(FluxRangeError) as err:
         call(value)
     assert re.search(rf"\b{name}\b.*{re.escape(str(value))}", str(err.value)), str(err.value)

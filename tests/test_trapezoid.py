@@ -53,7 +53,7 @@ def test_domain_clip_front_brute_indicator():
         t_b = t_a + float(rng.uniform(0.05, 0.6))
         x_a = float(rng.uniform(-1.5, 1.5))
         sigma = float(rng.uniform(-1.8, 1.8))
-        lo, hi = dom.clip_front(t_a, t_b, x_a, sigma)
+        lo, hi = map(float, dom.clip(t_a, t_b, x_a, sigma))
         x = x_a + sigma * (ts - t_a)
         mask = (ts >= t_a) & (ts <= t_b) & (ts > dom.t1) & (ts < dom.t2)
         mask &= np.abs(x) < dom.theta_plus(ts)
@@ -94,7 +94,7 @@ def test_trace_flat_crossing_closed_form():
     assert (c.u_before, c.u_after) == (1.0, 0.0)
     assert trace.value_at(-1.0) == 1.0
     assert trace.value_at(1.0) == 0.0
-    assert trace.sup_norm == 1.0
+    assert np.max(np.abs(trace.values)) == 1.0
 
 
 def test_trace_lateral_crossing_closed_form():
