@@ -395,37 +395,19 @@ def _evolved(cfg: dict):
 
 
 def _write_trajectory(out: Path, traj, meta: dict) -> None:
-    lines = []
+    lines, rows = [], []
     for snap in traj.snapshots:
-        lines.append(
-            json.dumps(
-                _jsonify(
-                    {
-                        "time": snap.time,
-                        "positions": snap.positions,
-                        "states": snap.states,
-                        "speeds": snap.speeds,
-                        "kinds": list(snap.kinds),
-                        "front_ids": snap.front_ids,
-                    }
-                ),
-                sort_keys=True,
-            )
+        # one read of each field, each read going through the front table
+        pos, states, speeds, kinds = snap.positions, snap.states, snap.speeds, list(snap.kinds)
+        fields = {"time": snap.time, "positions": pos, "states": states, "speeds": speeds,
+                  "kinds": kinds, "front_ids": snap.front_ids}
+        lines.append(json.dumps(_jsonify(fields), sort_keys=True))
+        pos, states, speeds = pos.tolist(), states.tolist(), speeds.tolist()
+        rows.extend(
+            (snap.time, pos[j], states[j], states[j + 1], speeds[j], kinds[j])
+            for j in range(snap.n_fronts)
         )
     _write(out / "trajectory.jsonl", "\n".join(lines) + "\n")
-    rows = []
-    for snap in traj.snapshots:
-        for j in range(snap.n_fronts):
-            rows.append(
-                (
-                    snap.time,
-                    float(snap.positions[j]),
-                    float(snap.states[j]),
-                    float(snap.states[j + 1]),
-                    float(snap.speeds[j]),
-                    snap.kinds[j],
-                )
-            )
     write_csv(
         out / "fronts.csv",
         meta,

@@ -10,17 +10,21 @@ evolve loop advances a priority queue of pairwise collision events:
   * as_given mode merges colliding fronts into the single chord-speed
     front, preserving non-entropic jumps indefinitely.
 
-The tracker holds positions, speeds, states, kind codes and ids in numpy
-arrays. An event costs one C pass per array, to move the fronts and to
-splice its group in, plus interpreted work in the size of its collision
-group; a group of any size is one Riemann problem. A queued pair whose
-front has since been replaced is dropped by a table of dead ids, with no
-search of the fronts. Every event builds new arrays and never writes into
-old ones, so each event's snapshot keeps that event's arrays without a
-copy. A snapshot's kinds are a KindLabels: one uint8 code per front, read
-as the labels of a tuple. Front ids are int32, so a stored front costs 29
-bytes: 8 each for its position, state and speed, 4 for its id and 1 for
-its kind (a snapshot adds 8 for its last state).
+The tracker holds the front positions and their rows in numpy arrays.
+A row indexes the trajectory's front table, which holds the states,
+speed, kind code and id of one front life: in tracker output a front id
+never changes its states, speed or kind, so these are stored once per
+front, as in front tracking (Holden & Risebro, ch. 2), and not once per
+snapshot. An event costs one C pass to move the fronts and one per array
+to splice its group in, plus interpreted work in the size of its
+collision group; a group of any size is one Riemann problem. A queued
+pair whose front has since been replaced is dropped by a table of dead
+rows, with no search of the fronts. Every event builds new arrays and
+never writes into old ones, so each event's snapshot keeps that event's
+arrays without a copy. A snapshot stores float64 positions and int32
+rows, so a stored front costs 12 bytes; its states, speeds, kinds (a
+KindLabels: one uint8 code per front, read as the labels of a tuple) and
+int32 front ids are read through the table.
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -145,27 +149,115 @@ class KindLabels(Sequence):
         return f"KindLabels({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
+class _FrontTable:
+    """The fronts of one trajectory, one row a front life; rows are only appended.
+
+    Columns: u_minus and u_plus, the states on the front's left and right,
+    and speed (float64), kind (uint8 codes into _KIND_LABELS) and id
+    (int32). Rows [0, size) are set; the columns of a growing table have
+    spare room past size.
+    """
+
+    _COLUMNS = ("u_minus", "u_plus", "speed", "kind", "id")
+    __slots__ = (*_COLUMNS, "size")
+
+    def __init__(self, u_minus, u_plus, speed, kind, ids):
+        self.u_minus, self.u_plus, self.speed, self.kind, self.id = (
+            u_minus, u_plus, speed, kind, ids
+        )
+        self.size = ids.size
+
+    def append(self, u_minus, u_plus, speed, kind, ids) -> int:
+        """Append len(ids) rows and return the first; columns grow by doubling."""
+        first, stop = self.size, self.size + ids.size
+        if stop > self.id.size:
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                new = np.empty(2 * stop, dtype=old.dtype)
+                new[:first] = old[:first]
+                setattr(self, name, new)
+        self.u_minus[first:stop] = u_minus
+        self.u_plus[first:stop] = u_plus
+        self.speed[first:stop] = speed
+        self.kind[first:stop] = kind
+        self.id[first:stop] = ids
+        self.size = stop
+        return first
+
+
+_ROW_DTYPE = np.dtype(np.int32)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FrontState:
     """Snapshot of a tracked solution: m fronts separating m + 1 states.
 
-    kinds given as a tuple or list of labels is stored as a KindLabels, and
-    front_ids as int32; an id outside the int32 range raises
-    InvariantViolation. The five arrays hold 29 m + 8 bytes: float64
-    positions, states and speeds, int32 ids and uint8 kind codes.
+    A snapshot stores its time, m float64 positions, m int32 rows of a
+    front table and the state left of every front, so a stored front costs
+    12 bytes. states (float64, m + 1), speeds (float64), kinds (a
+    KindLabels), front_ids (int32) and their 29 m + 8 bytes are read
+    through the table, each read a new array. Snapshots of one trajectory
+    share its table.
+
+    FrontState(time, positions, states, speeds, kinds, front_ids) builds a
+    one-snapshot table. kinds may be a KindLabels or labels; an id outside
+    the int32 range, or arrays whose lengths do not fit m positions, raise
+    InvariantViolation.
     """
 
     time: float
     positions: np.ndarray
-    states: np.ndarray
-    speeds: np.ndarray
-    kinds: KindLabels
-    front_ids: np.ndarray
+    rows: np.ndarray
+    table: _FrontTable
+    left_state: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kinds, KindLabels):
-            object.__setattr__(self, "kinds", KindLabels(self.kinds))
-        object.__setattr__(self, "front_ids", _front_ids(self.front_ids))
+    def __init__(self, time, positions, states, speeds, kinds, front_ids):
+        pos = np.asarray(positions, dtype=float)
+        vals = np.asarray(states, dtype=float)
+        speeds = np.asarray(speeds, dtype=float)
+        if not isinstance(kinds, KindLabels):
+            kinds = KindLabels(kinds)
+        ids = _front_ids(front_ids)
+        m = len(pos)
+        if (len(vals), len(speeds), len(kinds), len(ids)) != (m + 1, m, m, m):
+            raise InvariantViolation(
+                f"{m} positions need {m + 1} states and {m} speeds, kinds and "
+                f"front ids; got {len(vals)} states, {len(speeds)} speeds, "
+                f"{len(kinds)} kinds and {len(ids)} front ids"
+            )
+        table = _FrontTable(vals[:-1], vals[1:], speeds, kinds.codes, ids)
+        self._set(time, pos, np.arange(m, dtype=_ROW_DTYPE), table, float(vals[0]))
+
+    @classmethod
+    def _of(cls, time, positions, rows, table, left_state) -> FrontState:
+        """The snapshot of given rows of a table, at given positions."""
+        out = cls.__new__(cls)
+        out._set(time, positions, rows, table, left_state)
+        return out
+
+    def _set(self, time, positions, rows, table, left_state) -> None:
+        set_field = object.__setattr__  # the one place a frozen snapshot is written
+        set_field(self, "time", time)
+        set_field(self, "positions", positions)
+        set_field(self, "rows", rows)
+        set_field(self, "table", table)
+        set_field(self, "left_state", left_state)
+
+    @property
+    def states(self) -> np.ndarray:
+        return np.concatenate(([self.left_state], self.table.u_plus.take(self.rows)))
+
+    @property
+    def speeds(self) -> np.ndarray:
+        return self.table.speed.take(self.rows)
+
+    @property
+    def kinds(self) -> KindLabels:
+        return KindLabels.from_codes(self.table.kind.take(self.rows))
+
+    @property
+    def front_ids(self) -> np.ndarray:
+        return self.table.id.take(self.rows)
 
     @property
     def n_fronts(self) -> int:
@@ -178,7 +270,7 @@ class FrontState:
         return step_values(self.positions, self.states, x)
 
     def to_step(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.positions), np.array(self.states)
+        return np.array(self.positions), self.states
 
 
 @dataclass(frozen=True)
@@ -251,13 +343,8 @@ class Trajectory:
             i = 0
         base = self.snapshots[i]
         dt = t - base.time
-        return FrontState(
-            time=t,
-            positions=base.positions + dt * base.speeds,
-            states=base.states,
-            speeds=base.speeds,
-            kinds=base.kinds,
-            front_ids=base.front_ids,
+        return FrontState._of(
+            t, base.positions + dt * base.speeds, base.rows, base.table, base.left_state
         )
 
     def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
@@ -289,20 +376,30 @@ class Trajectory:
         return self._lifetimes
 
     def _derive_lifetimes(self) -> Lifetimes:
+        # Each table row is read once per run of consecutive segments on its
+        # table; the runs are then joined as rows: one id, equal states and
+        # speed, consecutive segments (the one-snapshot tables of a splice
+        # hold fronts that live on across them).
         segs = list(self.segments())
-        snaps = [s for _, _, s in segs]
-        seg = np.repeat(np.arange(len(segs)), [s.n_fronts for s in snaps])
-        if seg.size == 0:
+        pieces, start = [], 0
+        for stop in range(1, len(segs) + 1):
+            if stop == len(segs) or segs[stop][2].table is not segs[start][2].table:
+                pieces.append(_table_runs([s for _, _, s in segs[start:stop]], start))
+                start = stop
+        if sum(rows.size for _, _, _, rows, _ in pieces) == 0:
             return Lifetimes(*([np.empty(0)] * 7))
-        ids = np.concatenate([s.front_ids for s in snaps])
-        u_minus = np.concatenate([s.states[:-1] for s in snaps])
-        u_plus = np.concatenate([s.states[1:] for s in snaps])
-        sigma = np.concatenate([s.speeds for s in snaps])
-        order = np.lexsort((seg, ids))
+        seg_a, seg_b, x_birth = (
+            np.concatenate([p[i] for p in pieces]) for i in (0, 1, 4)
+        )
+        ids, u_minus, u_plus, sigma = (
+            np.concatenate([getattr(table, col).take(rows) for _, _, table, rows, _ in pieces])
+            for col in ("id", "u_minus", "u_plus", "speed")
+        )
+        order = np.lexsort((seg_a, ids))
         a, b = order[:-1], order[1:]
         same = (
             (ids[a] == ids[b])
-            & (seg[a] + 1 == seg[b])
+            & (seg_b[a] + 1 == seg_a[b])
             & (u_minus[a] == u_minus[b])
             & (u_plus[a] == u_plus[b])
             & (sigma[a] == sigma[b])
@@ -311,13 +408,12 @@ class Trajectory:
         last = order[np.concatenate((~same, [True]))]
         birth_order = np.argsort(first)
         first, last = first[birth_order], last[birth_order]
-        x_birth = np.concatenate([s.positions for s in snaps])
         t_a = np.array([t for t, _, _ in segs])
         t_b = np.array([t for _, t, _ in segs])
         return Lifetimes(
             front_id=ids[first],
-            t_birth=t_a[seg[first]],
-            t_death=t_b[seg[last]],
+            t_birth=t_a[seg_a[first]],
+            t_death=t_b[seg_b[last]],
             x_birth=x_birth[first],
             sigma=sigma[first],
             u_minus=u_minus[first],
@@ -331,6 +427,35 @@ class Trajectory:
         x_death = rows.x_birth + rows.sigma * (rows.t_death - rows.t_birth)
         ends = np.concatenate((rows.x_birth, x_death))
         return (float(ends.min()), float(ends.max()))
+
+
+def _table_runs(snaps: list[FrontState], k0: int):
+    """The rows that consecutive snapshots on one table hold, from segment k0.
+
+    Returns the first and last segment, the table, the row and the position
+    in its first segment of each row, in order of first segment, then left
+    to right. In snapshots ordered in time a row sits in consecutive ones:
+    the tracker emits a front once and replaces it once.
+    """
+    table = snaps[0].table
+    if len(snaps) == 1:
+        k = np.full(snaps[0].n_fronts, k0)
+        return k, k, table, snaps[0].rows, snaps[0].positions
+    first = np.full(table.size, -1)
+    last = np.empty(table.size, dtype=np.intp)
+    slot = np.empty(table.size, dtype=np.intp)  # left-to-right place in the first snapshot
+    x_birth = np.empty(table.size)
+    for k, snap in enumerate(snaps, k0):
+        rows = snap.rows
+        born = np.flatnonzero(first.take(rows) < 0)
+        new = rows.take(born)
+        first[new] = k
+        slot[new] = born
+        x_birth[new] = snap.positions.take(born)
+        last[rows] = k
+    rows = np.flatnonzero(first >= 0)
+    rows = rows[np.lexsort((slot[rows], first[rows]))]
+    return first[rows], last[rows], table, rows, x_birth[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +601,13 @@ def entropic_resolve_state(
     rarefaction_step follows _fragment_step's rule.
     """
     rarefaction_step = _fragment_step(flux, rarefaction_step)
+    states = state.states.tolist()
     pos: list[float] = []
-    vals: list[float] = [float(state.states[0])]
+    vals: list[float] = [states[0]]
     kinds: list[str] = []
-    for i in range(state.n_fronts):
-        chain, ks = _resolve(float(state.states[i]), float(state.states[i + 1]), rarefaction_step)
-        pos.extend([float(state.positions[i])] * (len(chain) - 1))
+    for x, u_l, u_r in zip(state.positions.tolist(), states[:-1], states[1:]):
+        chain, ks = _resolve(u_l, u_r, rarefaction_step)
+        pos.extend([x] * (len(chain) - 1))
         vals.extend(chain[1:])
         kinds.extend(ks)
     return front_state(flux, state.time, pos, vals, kinds)
@@ -509,21 +635,22 @@ def mass(state: FrontState) -> float:
 class _Tracker:
     """State of the event loop, fronts held left to right in numpy arrays.
 
-    pos, speeds, kinds (uint8 codes into _KIND_LABELS) and ids (int32,
-    minted in order and refused past 2**31 - 1) have one entry per front
-    and vals one more (the states between them). Moving every front is
-    one vectorized speeds * dt + pos, and a collision or
+    pos (float64) and rows (int32 rows of table) have one entry per front;
+    left is the state left of every front. table holds each front's states,
+    speed, kind code (into _KIND_LABELS) and id (int32, minted in order and
+    refused past 2**31 - 1), appended when an event emits the front. Moving
+    every front is one vectorized speeds * dt + pos, and a collision or
     uncover splices its group in with one np.concatenate per array. Both
     build new arrays and never write into old ones, so a snapshot keeps the
     current arrays as they are; only the final snapshot, which would share
-    all but pos with the last event's, copies. So an event costs one C pass
-    per array plus interpreted work in the size of its group: the group's
+    them with the last event's, copies. So an event costs one C pass per
+    array plus interpreted work in the size of its group: the group's
     coincidence compares Python scalars, the emitted chain is checked in one
     Python loop and takes its speeds from one flux evaluation, and the new
     neighbour pairs are pushed from one tolist() per array. Heap entries
-    hold Python scalars. An entry whose front has died since it was pushed
-    is stale; dead holds every id a group replaced, so such an entry is
-    dropped without a search for its fronts.
+    hold Python scalars and the rows of the pair. An entry whose front has
+    died since it was pushed is stale; dead marks every row a group
+    replaced, so such an entry is dropped without a search for its fronts.
     """
 
     def __init__(self, flux: ConvexFlux, snap: FrontState, mode: str, step: float):
@@ -533,29 +660,38 @@ class _Tracker:
         self.band = _band_bound(flux)
         self.t = snap.time
         self.pos = np.array(snap.positions, dtype=float)
-        self.vals = np.array(snap.states, dtype=float)
-        self.kinds = snap.kinds.codes
-        self.speeds = np.array(snap.speeds, dtype=float)
-        self.ids = np.array(snap.front_ids, dtype=_ID_DTYPE)
-        # dead ids mark stale heap entries, so no two fronts may share an id
-        sorted_ids = np.sort(self.ids)
+        # pairs are queued from neighbours, so the fronts must be in order
+        if np.any(np.diff(self.pos) < 0.0):
+            raise InvariantViolation(f"front positions must be non-decreasing: {self.pos}")
+        given, rows = snap.table, snap.rows
+        ids = given.id.take(rows)
+        # lifetimes() follows a front from snapshot to snapshot by its id,
+        # so no two fronts may share one
+        sorted_ids = np.sort(ids)
         twice = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if twice.size:
             raise InvariantViolation(f"front id {int(twice[0])} is held by more than one front")
-        self._next_id = int(self.ids.max()) + 1 if self.ids.size else 0
+        self.table = _FrontTable(
+            given.u_minus.take(rows), given.u_plus.take(rows), given.speed.take(rows),
+            given.kind.take(rows), ids
+        )
+        self.rows = np.arange(ids.size, dtype=_ROW_DTYPE)
+        self.left = snap.left_state
+        self._next_id = int(ids.max()) + 1 if ids.size else 0
         self._counter = itertools.count()
-        self.dead: set[int] = set()
+        self.dead = bytearray(ids.size)
         self.heap: list[tuple] = []
         self.snapshots: list[FrontState] = []
         self.events: list[EventRecord] = []
 
+    def state(self, j: int) -> float:
+        """The state left of front j; j = n_fronts gives the rightmost."""
+        return self.left if j == 0 else float(self.table.u_plus[self.rows[j - 1]])
+
     def snapshot(self, copy: bool = False) -> FrontState:
         """The fronts now, holding the tracker's arrays unless copy is set."""
-        arrays = (self.pos, self.vals, self.speeds, self.kinds, self.ids)
-        if copy:
-            arrays = tuple(a.copy() for a in arrays)
-        pos, vals, speeds, kinds, ids = arrays
-        return FrontState(self.t, pos, vals, speeds, KindLabels.from_codes(kinds), ids)
+        pos, rows = (self.pos.copy(), self.rows.copy()) if copy else (self.pos, self.rows)
+        return FrontState._of(self.t, pos, rows, self.table, self.left)
 
     def advance_to(self, t: float) -> None:
         dt = t - self.t
@@ -563,7 +699,8 @@ class _Tracker:
             raise InvariantViolation(f"time regression {self.t} -> {t}")
         if dt != 0.0:
             # the bits of pos + speeds * dt, in one new array
-            pos = np.multiply(self.speeds, dt)
+            pos = self.table.speed.take(self.rows)
+            pos *= dt
             pos += self.pos
             self.pos = pos
         self.t = t
@@ -574,9 +711,10 @@ class _Tracker:
         hi = min(hi, self.pos.size - 1)
         if lo >= hi:
             return
-        speeds = self.speeds[lo : hi + 1].tolist()
+        rows = self.rows[lo : hi + 1]
+        speeds = self.table.speed.take(rows).tolist()
         pos = self.pos[lo : hi + 1].tolist()
-        ids = self.ids[lo : hi + 1].tolist()
+        rows = rows.tolist()
         t, heap, limit = self.t, self.heap, t_stop + _TIME_TOL
         for j in range(hi - lo):
             s_l = speeds[j]
@@ -588,15 +726,15 @@ class _Tracker:
             t_col = t + dt
             if t_col > limit:
                 continue
-            entry = (t_col, x_l + s_l * dt, next(self._counter), ids[j], ids[j + 1])
+            entry = (t_col, x_l + s_l * dt, next(self._counter), rows[j], rows[j + 1])
             heapq.heappush(heap, entry)
 
-    def _pair_indices(self, id_l: int, id_r: int) -> tuple[int, int] | None:
-        if id_l in self.dead or id_r in self.dead:
+    def _pair_indices(self, row_l: int, row_r: int) -> tuple[int, int] | None:
+        if self.dead[row_l] or self.dead[row_r]:
             return None
-        ids = self.ids
-        i = int((ids == id_l).argmax())
-        if ids[i : i + 2].tolist() != [id_l, id_r]:
+        rows = self.rows
+        i = int((rows == row_l).argmax())
+        if rows[i : i + 2].tolist() != [row_l, row_r]:
             return None
         return (i, i + 1)
 
@@ -606,7 +744,7 @@ class _Tracker:
         """Replace fronts p..q (inclusive) by the chain emitted at x.
 
         q = p - 1 inserts the chain's fronts before front p, replacing
-        only the state vals[p].
+        only the state left of front p.
         """
         k = len(chain) - 1
         vals = np.asarray(chain, dtype=float)
@@ -629,12 +767,15 @@ class _Tracker:
             )
         ids = np.arange(self._next_id, self._next_id + k, dtype=_ID_DTYPE)
         self._next_id += k
-        self.dead.update(self.ids[p : q + 1].tolist())
+        first = self.table.append(vals[:-1], vals[1:], speeds, codes, ids)
+        for r in self.rows[p : q + 1].tolist():
+            self.dead[r] = 1
+        self.dead += bytes(k)
+        new_rows = np.arange(first, first + k, dtype=_ROW_DTYPE)
         self.pos = np.concatenate((self.pos[:p], [x] * k, self.pos[q + 1 :]))
-        self.speeds = np.concatenate((self.speeds[:p], speeds, self.speeds[q + 1 :]))
-        self.kinds = np.concatenate((self.kinds[:p], codes, self.kinds[q + 1 :]))
-        self.ids = np.concatenate((self.ids[:p], ids, self.ids[q + 1 :]))
-        self.vals = np.concatenate((self.vals[:p], vals, self.vals[q + 2 :]))
+        self.rows = np.concatenate((self.rows[:p], new_rows, self.rows[q + 1 :]))
+        if p == 0:
+            self.left = float(chain[0])
         return (p, p + k - 1)
 
     def run(self, t_end: float, uncover_events: list | None = None) -> None:
@@ -688,8 +829,8 @@ class _Tracker:
         self.snapshots.append(self.snapshot(copy=True))
 
     def _apply_collision(self, p: int, q: int, x: float, t_end: float) -> None:
-        u_left = float(self.vals[p])
-        u_right = float(self.vals[q + 1])
+        u_left = self.state(p)
+        u_right = self.state(q + 1)
         if self.mode == "entropic":
             chain, kinds = _resolve(u_left, u_right, self.step)
         elif u_left == u_right:
@@ -706,13 +847,11 @@ class _Tracker:
     def _apply_uncover(self, x: float, side: str, new_value: float, t_end: float) -> None:
         """Inject boundary data at the moving edge of a trapezoid re-solve."""
         if side == "left":
-            old = float(self.vals[0])
-            chain, kinds = _resolve(new_value, old, self.step)
+            chain, kinds = _resolve(new_value, self.left, self.step)
             first, last = self.replace_group(0, -1, x, chain, kinds)
         else:
-            old = float(self.vals[-1])
-            chain, kinds = _resolve(old, new_value, self.step)
             n = self.pos.size
+            chain, kinds = _resolve(self.state(n), new_value, self.step)
             first, last = self.replace_group(n, n - 1, x, chain, kinds)
         self.events.append(EventRecord(self.t, x, "uncover"))
         self.snapshots.append(self.snapshot())

@@ -174,8 +174,8 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
     crossings: list[Crossing] = []
 
     flat = traj.state_at(dom.t1)
-    for j in range(flat.n_fronts):
-        x = float(flat.positions[j])
+    states, ids = flat.states.tolist(), flat.front_ids.tolist()
+    for j, x in enumerate(flat.positions.tolist()):
         if abs(abs(x) - dom.delta) <= _CORNER_TOL:
             raise ClawError(
                 f"front crosses within {_CORNER_TOL} of a trapezoid corner "
@@ -187,9 +187,9 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
                     s=x,
                     time=dom.t1,
                     side="flat",
-                    front_id=int(flat.front_ids[j]),
-                    u_before=float(flat.states[j]),
-                    u_after=float(flat.states[j + 1]),
+                    front_id=ids[j],
+                    u_before=states[j],
+                    u_after=states[j + 1],
                 )
             )
 
@@ -249,34 +249,40 @@ def _merge_states(
     """Composite snapshot: original outside Gamma's section, re-solve inside."""
     bl = float(dom.theta_minus(t_ref))
     br = float(dom.theta_plus(t_ref))
-    dt_o = t_ref - orig.time
-    dt_r = t_ref - res.time
-    xo = orig.positions + dt_o * orig.speeds
-    xr = res.positions + dt_r * res.speeds
+    # one read of each field, each read going through the front table
+    o_states, r_states = orig.states, res.states
+    o = (orig.time, orig.positions, orig.speeds, orig.kinds.codes, orig.front_ids)
+    r = (res.time, res.positions, res.speeds, res.kinds.codes, res.front_ids)
+
+    def moved(base, t: float) -> np.ndarray:
+        time, pos, speeds = base[:3]
+        return pos + (t - time) * speeds
+
+    xo, xr = moved(o, t_ref), moved(r, t_ref)
     left_sel = xo < bl
     right_sel = xo > br
     mid_sel = (xr > bl) & (xr < br)
 
-    def emit(base: FrontState, sel, offset: int):
-        dt = t_emit - base.time
+    def emit(base, sel, offset: int):
+        codes, ids = base[3:]
         return (
-            list(base.positions[sel] + dt * base.speeds[sel]),
-            base.kinds.codes[sel],
-            [i + offset for i in base.front_ids[sel].tolist()],
+            list(moved(base, t_emit)[sel]),
+            codes[sel],
+            [i + offset for i in ids[sel].tolist()],
         )
 
-    pos_l, kinds_l, ids_l = emit(orig, left_sel, 0)
-    pos_m, kinds_m, ids_m = emit(res, mid_sel, id_offset)
-    pos_r, kinds_r, ids_r = emit(orig, right_sel, 0)
+    pos_l, kinds_l, ids_l = emit(o, left_sel, 0)
+    pos_m, kinds_m, ids_m = emit(r, mid_sel, id_offset)
+    pos_r, kinds_r, ids_r = emit(o, right_sel, 0)
 
-    states_l = list(orig.states[: int(np.sum(left_sel)) + 1])
+    states_l = list(o_states[: int(np.sum(left_sel)) + 1])
     mid_idx = np.where(mid_sel)[0]
     if mid_idx.size:
-        states_m = list(res.states[mid_idx[0] : mid_idx[-1] + 2])
+        states_m = list(r_states[mid_idx[0] : mid_idx[-1] + 2])
     else:
         states_m = [float(res.value_at(0.5 * (bl + br)))]
     n_right = int(np.sum(right_sel))
-    states_r = list(orig.states[len(orig.states) - n_right - 1 :])
+    states_r = list(o_states[len(o_states) - n_right - 1 :])
 
     for seam, a, b in (("left", states_l[-1], states_m[0]), ("right", states_m[-1], states_r[0])):
         if abs(a - b) > 1e-9:

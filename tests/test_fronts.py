@@ -1,5 +1,7 @@
 """Wavefront tracking: snapshots, collisions, staircases, conservation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,78 @@ def test_lifetimes_partition_the_segments(build):
     assert used.all()
 
 
+def _row_comes_back():
+    """Front 0 sits on one table row at t = 0 and again from t = 1, with a
+    snapshot of front 1 alone in between."""
+    fl = burgers_flux()
+    a = front_state(fl, 0.0, [0.0], [1.0, 0.0], front_ids=[0])
+    b = front_state(fl, 0.5, [0.25], [0.75, 0.25], front_ids=[1])
+    c = Trajectory(flux=fl, snapshots=[a], t_end=1.0, mode="as_given",
+                   rarefaction_step=0.01).state_at(1.0)
+    assert c.table is a.table
+    return Trajectory(flux=fl, snapshots=[a, b, c], t_end=1.5, mode="as_given",
+                      rarefaction_step=0.01)
+
+
+def _near_simultaneous_merges():
+    """Two shock pairs merge 1e-13 apart, the right pair first: both merged
+    fronts are born in one segment, in the opposite order to their rows."""
+    fl = burgers_flux(2.0)
+    state = front_state(fl, 0.0, [0.0, 1.0 + 1e-13, 10.0, 11.0], [2.0, 1.0, 0.0, -1.0, -2.0])
+    traj = evolve(state, fl, 2.0, mode="as_given")
+    assert [e.x for e in traj.events] == [9.5, pytest.approx(1.5)]
+    return traj
+
+
+def _lifetimes_per_stored_front(traj):
+    """The rows of lifetimes() from every stored front as its snapshot
+    reads it: sorted by (id, segment) and cut where the id, the segment
+    run, a state or the speed changes."""
+    segs = list(traj.segments())
+    snaps = [s for _, _, s in segs]
+    seg = np.repeat(np.arange(len(segs)), [s.n_fronts for s in snaps])
+    ids = np.concatenate([s.front_ids for s in snaps])
+    u_minus = np.concatenate([s.states[:-1] for s in snaps])
+    u_plus = np.concatenate([s.states[1:] for s in snaps])
+    sigma = np.concatenate([s.speeds for s in snaps])
+    order = np.lexsort((seg, ids))
+    a, b = order[:-1], order[1:]
+    same = ((ids[a] == ids[b]) & (seg[a] + 1 == seg[b]) & (u_minus[a] == u_minus[b])
+            & (u_plus[a] == u_plus[b]) & (sigma[a] == sigma[b]))
+    first = order[np.concatenate(([True], ~same))]
+    last = order[np.concatenate((~same, [True]))]
+    birth = np.argsort(first)
+    first, last = first[birth], last[birth]
+    t_a = np.array([t for t, _, _ in segs])
+    t_b = np.array([t for _, t, _ in segs])
+    x_birth = np.concatenate([s.positions for s in snaps])
+    return (ids[first], t_a[seg[first]], t_b[seg[last]], x_birth[first], sigma[first],
+            u_minus[first], u_plus[first])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_two_shock_merge, _entropic_20_jumps, _as_given, _spliced, _states_change, _row_comes_back,
+     _near_simultaneous_merges],
+)
+def test_lifetimes_are_the_rows_of_every_stored_front_bit_for_bit(build):
+    """lifetimes() reads each table row once; its rows must be those of
+    the stored fronts as the snapshots read them, to the bit."""
+    traj = build()
+    rows = traj.lifetimes()
+    want = _lifetimes_per_stored_front(traj)
+    got = [getattr(rows, f.name) for f in fields(rows)]
+    assert [(a.dtype.str, a.tobytes()) for a in got] == [(a.dtype.str, a.tobytes()) for a in want]
+
+
+def test_a_row_that_comes_back_starts_a_new_lifetime():
+    rows = _row_comes_back().lifetimes()
+    assert list(rows.front_id) == [0, 1, 0]
+    assert list(rows.t_birth) == [0.0, 0.5, 1.0]
+    assert list(rows.t_death) == [0.5, 1.0, 1.5]
+    assert list(rows.u_minus) == [1.0, 0.75, 1.0]
+
+
 def test_lifetimes_start_a_row_when_states_change():
     rows = _states_change().lifetimes()
     assert list(rows.front_id) == [0, 0]
@@ -493,8 +567,12 @@ def test_front_state_holds_given_kinds_as_kind_labels(kinds):
     for st in (built, checked):
         assert isinstance(st.kinds, KindLabels)
         assert st.kinds == ("expansion_shock", "entropic_shock")
-    assert FrontState(0.0, built.positions, built.states, built.speeds, built.kinds,
-                      built.front_ids).kinds is built.kinds
+    # each read of kinds is a new KindLabels over the table's kind column; a
+    # given KindLabels becomes that column as it is, with no re-encoding
+    given = built.kinds
+    rebuilt = FrontState(0.0, built.positions, built.states, built.speeds, given,
+                         built.front_ids)
+    assert rebuilt.table.kind is given.codes and rebuilt.kinds == given
 
 
 def test_a_label_outside_the_catalog_survives_evolve():
@@ -570,7 +648,7 @@ def _emitted_speeds(flux, chain):
         tracker.replace_group(0, -1, 0.0, chain, ["expansion_shock"] * (len(chain) - 1))
     except ClawError as exc:
         return exc
-    return tracker.speeds
+    return tracker.snapshot().speeds
 
 
 def _chord_speeds(flux, chain):
@@ -683,14 +761,14 @@ def test_ramp_focusing_more_than_64_fronts_at_one_point(n):
 
 
 class _SearchingTracker(_Tracker):
-    """The tracker with no dead-id table: every heap entry pays the search."""
+    """The tracker with no dead-row table: every heap entry pays the search."""
 
-    def _pair_indices(self, id_l, id_r):
-        ids = self.ids
-        if ids.size == 0:
+    def _pair_indices(self, row_l, row_r):
+        rows = self.rows
+        if rows.size == 0:
             return None
-        i = int((ids == id_l).argmax())
-        if ids[i : i + 2].tolist() != [id_l, id_r]:
+        i = int((rows == row_l).argmax())
+        if rows[i : i + 2].tolist() != [row_l, row_r]:
             return None
         return (i, i + 1)
 
@@ -702,7 +780,7 @@ def _bits(snap):
 
 @pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps])
 def test_dead_ids_drop_only_stale_heap_entries(build, monkeypatch):
-    """The dead-id table rejects a heap entry before any search, so it must
+    """The dead-row table rejects a heap entry before any search, so it must
     reject exactly the entries the search rejects: every snapshot and event
     is the searching tracker's, to the bit."""
     want = build()
@@ -716,7 +794,7 @@ def test_dead_ids_drop_only_stale_heap_entries(build, monkeypatch):
 
 
 def test_as_given_evolve_refuses_fronts_that_share_an_id():
-    """A dead id marks every queued pair of its front stale, so a snapshot
+    """An id names one front from snapshot to snapshot, so a snapshot
     whose fronts share an id is refused before tracking (entropic mode
     tracks fresh ids). With distinct ids fronts 0 and 1 merge at t = 2
     and the merged front meets front 2 at t = 10/3."""
@@ -776,9 +854,19 @@ def test_tracker_refuses_to_mint_an_id_past_the_int32_limit():
         evolve(last, fl, 3.0, mode="as_given")
 
 
-def test_a_stored_front_costs_29_bytes():
-    """8 bytes each for position, state and speed, 4 for the id and 1 for
-    the kind code; each snapshot adds 8 for its last state."""
+def test_a_stored_front_costs_12_bytes():
+    """A snapshot stores 8 bytes of position and a 4-byte row per front."""
+    snaps = _entropic_100_jumps().snapshots
+    stored = sum(s.n_fronts for s in snaps)
+    assert stored > 10_000
+    assert all(s.positions.dtype == np.float64 and s.rows.dtype == np.int32 for s in snaps)
+    assert sum(s.positions.nbytes + s.rows.nbytes for s in snaps) == 12 * stored
+
+
+def test_the_arrays_a_snapshot_reads_cost_29_bytes_a_front():
+    """Read through the table, a front gives 8 bytes each of position,
+    state and speed, 4 of id and 1 of kind code; each snapshot adds 8 for
+    its last state."""
     traj = _entropic_100_jumps()
     snaps = traj.snapshots
     nbytes = sum(
@@ -789,3 +877,34 @@ def test_a_stored_front_costs_29_bytes():
     stored = sum(s.n_fronts for s in snaps)
     assert stored > 10_000
     assert nbytes == 29 * stored + 8 * len(snaps)
+
+
+@pytest.mark.parametrize(
+    "build, lengths",
+    [
+        (lambda: front_state(burgers_flux(2.0), 0.0, [0.0, 1.0], [1.0, 0.5, 0.0],
+                             kinds=["entropic_shock"], front_ids=[7]),
+         "got 3 states, 2 speeds, 1 kinds and 1 front ids"),
+        (lambda: FrontState(0.0, [0.0, 1.0], [1.0, 0.5, 0.0], [0.75], ("a", "b"), [0, 1, 2]),
+         "got 3 states, 1 speeds, 2 kinds and 3 front ids"),
+        (lambda: FrontState(0.0, [0.0, 1.0], [1.0, 0.0], [0.5, 0.5], ("a", "b"), [0, 1]),
+         "got 2 states, 2 speeds, 2 kinds and 2 front ids"),
+    ],
+    ids=["front_state_kinds_and_ids", "FrontState_speeds_and_ids", "FrontState_states"],
+)
+def test_snapshots_refuse_arrays_that_do_not_fit_their_fronts(build, lengths):
+    with pytest.raises(InvariantViolation, match="2 positions need 3 states and 2 speeds, "
+                       "kinds and front ids; " + lengths):
+        build()
+
+
+def test_as_given_evolve_refuses_positions_that_decrease():
+    """Hand-built with the front at x = 0 right of the one at x = 1, the
+    pair would collide at once and move a front with no collision."""
+    fl = burgers_flux(1.0)
+    states = np.array([1.0, -0.5, 0.5, 0.0])
+    state = FrontState(0.0, np.array([1.0, 0.0, 2.0]), states,
+                       chord_slopes(fl, states[:-1], states[1:]),
+                       ("entropic_shock", "expansion_shock", "entropic_shock"), [0, 1, 2])
+    with pytest.raises(InvariantViolation, match="front positions must be non-decreasing"):
+        evolve(state, fl, 2.0, mode="as_given")
