@@ -59,7 +59,6 @@ from .fluxes import (
 from .fronts import (
     EventRecord,
     FrontState,
-    KindLabels,
     Trajectory,
     entropic_resolve_state,
     evolve,

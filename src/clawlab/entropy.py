@@ -37,7 +37,7 @@ share, and add the clipped rows up in row order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -334,11 +334,15 @@ class EConditionReport:
 def _econd_core(
     xs: np.ndarray,
     us: np.ndarray,
-    zero_pairs: Sequence[tuple[float, float, float]],
+    x0: np.ndarray,
+    u_left: np.ndarray,
+    u_right: np.ndarray,
     t: float,
     c: float,
     slack: float,
 ) -> EConditionReport:
+    """Worst excess over the sample pairs and the zero-width pairs (x0, u_left,
+    u_right); a tie keeps the first."""
     check_positive("t", t)
     check_positive("c", c)
     check_finite("slack", slack)
@@ -357,11 +361,12 @@ def _econd_core(
             worst = float(excess[j])
             i = int(np.argmin(shifted[: j + 1]))
             worst_pair = (float(x[i]), float(x[j]))
-    for x0, u_left, u_right in zero_pairs:
+    if x0.size:
         e = u_right - u_left
-        if e > worst:
-            worst = e
-            worst_pair = (float(x0), float(x0))
+        k = int(np.argmax(e))
+        if e[k] > worst:
+            worst = float(e[k])
+            worst_pair = (float(x0[k]), float(x0[k]))
     if not np.isfinite(worst):
         worst = 0.0
         worst_pair = (0.0, 0.0)
@@ -382,7 +387,8 @@ def check_e_condition_samples(
         raise FluxRangeError(f"need len(xs) == len(us), got {xs.size} and {us.size}")
     check_finite("xs", xs)
     check_finite("us", us)
-    return _econd_core(xs, us, [], t, c, slack)
+    none = np.empty(0)
+    return _econd_core(xs, us, none, none, none, t, c, slack)
 
 
 def check_e_condition_state(state, c: float, slack: float = 0.0) -> EConditionReport:
@@ -391,28 +397,22 @@ def check_e_condition_state(state, c: float, slack: float = 0.0) -> EConditionRe
     Pairs are piece midpoints plus the zero-width pair across each front,
     so an ascending jump of height h fails any slack below h.
     """
-    xs, us, zero_pairs = _state_econd_samples(state)
-    return _econd_core(xs, us, zero_pairs, state.time, c, slack)
-
-
-def _state_econd_samples(state):
     pos = np.asarray(state.positions, dtype=float)
     vals = np.asarray(state.states, dtype=float)
+    xs, us = _state_econd_samples(pos, vals)
+    return _econd_core(xs, us, pos, vals[:-1], vals[1:], state.time, c, slack)
+
+
+def _state_econd_samples(pos: np.ndarray, vals: np.ndarray):
+    """A point inside each tail and at the midpoint of each piece of positive width."""
     if pos.size == 0:
-        return np.array([0.0]), np.array([vals[0]]), []
-    span = max(1.0, float(pos[-1] - pos[0]))
-    pts = [pos[0] - 0.5 * span]
-    sample_vals = [vals[0]]
-    for i in range(len(pos) - 1):
-        if pos[i + 1] > pos[i]:
-            pts.append(0.5 * (pos[i] + pos[i + 1]))
-            sample_vals.append(vals[i + 1])
-    pts.append(pos[-1] + 0.5 * span)
-    sample_vals.append(vals[-1])
-    zero_pairs = [
-        (float(pos[i]), float(vals[i]), float(vals[i + 1])) for i in range(len(pos))
-    ]
-    return np.asarray(pts), np.asarray(sample_vals), zero_pairs
+        return np.array([0.0]), vals[:1]
+    half_span = 0.5 * max(1.0, float(pos[-1] - pos[0]))
+    wide = pos[1:] > pos[:-1]
+    xs = np.concatenate(
+        ([pos[0] - half_span], (0.5 * (pos[:-1] + pos[1:]))[wide], [pos[-1] + half_span])
+    )
+    return xs, np.concatenate((vals[:1], vals[1:-1][wide], vals[-1:]))
 
 
 def check_e_condition_fan(
@@ -437,7 +437,8 @@ def check_e_condition_fan(
             omegas = np.linspace(w.omega_lo, w.omega_hi, _FAN_SAMPLES)
             xs += list(omegas * t)
             us += list(np.asarray(inverse_derivative(fan.flux, omegas), dtype=float))
-    return _econd_core(np.asarray(xs), np.asarray(us), zero_pairs, t, c, slack)
+    x0, u_left, u_right = np.array(zero_pairs, dtype=float).reshape(-1, 3).T
+    return _econd_core(np.asarray(xs), np.asarray(us), x0, u_left, u_right, t, c, slack)
 
 
 # ---------------------------------------------------------------------------

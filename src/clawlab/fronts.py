@@ -12,7 +12,7 @@ evolve loop advances a priority queue of pairwise collision events:
 
 The tracker holds the front positions and their rows in numpy arrays.
 A row indexes the trajectory's front table, which holds the states,
-speed, kind code and id of one front life: in tracker output a front id
+speed, kind label and id of one front life: in tracker output a front id
 never changes its states, speed or kind, so these are stored once per
 front, as in front tracking (Holden & Risebro, ch. 2), and not once per
 snapshot. An event costs one C pass to move the fronts and one per array
@@ -23,8 +23,7 @@ rows, with no search of the fronts. Every event builds new arrays and
 never writes into old ones, so each event's snapshot keeps that event's
 arrays without a copy. A snapshot stores float64 positions and int32
 rows, so a stored front costs 12 bytes; its states, speeds, kinds (a
-KindLabels: one uint8 code per front, read as the labels of a tuple) and
-int32 front ids are read through the table.
+tuple of labels) and int32 front ids are read through the table.
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -40,7 +39,6 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,25 +58,8 @@ RAREFACTION_FRAGMENT = "rarefaction_fragment"
 
 _TIME_TOL = 1e-12
 
-# The label of each front kind code. It starts with the three kinds the
-# package emits; a label that a caller gives is appended the first time it
-# is seen, so a code keeps its label for the life of the process.
-_KIND_LABELS: list[str] = [ENTROPIC_SHOCK, EXPANSION_SHOCK, RAREFACTION_FRAGMENT]
-_KIND_CODES: dict[str, int] = {k: i for i, k in enumerate(_KIND_LABELS)}
-
 _ID_DTYPE = np.dtype(np.int32)
 _ID_RANGE = np.iinfo(_ID_DTYPE)
-
-
-def _kind_code(label: str) -> int:
-    code = _KIND_CODES.get(label)
-    if code is None:
-        code = len(_KIND_LABELS)
-        if code > np.iinfo(np.uint8).max:
-            raise InvariantViolation(f"more than {code} front kinds; cannot add {label!r}")
-        _KIND_LABELS.append(label)
-        _KIND_CODES[label] = code
-    return code
 
 
 def _front_ids(ids) -> np.ndarray:
@@ -99,61 +80,11 @@ def _front_ids(ids) -> np.ndarray:
     return arr.astype(_ID_DTYPE)
 
 
-class KindLabels(Sequence):
-    """Front kinds of a snapshot: one uint8 code per front, read as labels.
-
-    A read-only sequence of str that iterates, indexes and compares equal
-    like the tuple of its labels. An integer index gives a label; a slice,
-    an index array or a boolean mask gives a KindLabels.
-    """
-
-    __slots__ = ("codes",)
-
-    def __init__(self, labels):
-        """Codes of an iterable of str labels."""
-        self.codes = np.array([_kind_code(k) for k in labels], dtype=np.uint8)
-        self.codes.flags.writeable = False
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray) -> KindLabels:
-        """Wrap a uint8 code array, which becomes read-only."""
-        out = cls.__new__(cls)
-        codes.flags.writeable = False
-        out.codes = codes
-        return out
-
-    def __len__(self) -> int:
-        return self.codes.size
-
-    def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return _KIND_LABELS[self.codes[i]]
-        return KindLabels.from_codes(self.codes[i])
-
-    def __iter__(self):
-        return map(_KIND_LABELS.__getitem__, self.codes.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, KindLabels):
-            return self.codes.size == other.codes.size and bool(
-                np.all(self.codes == other.codes)
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"KindLabels({tuple(self)!r})"
-
-
 class _FrontTable:
     """The fronts of one trajectory, one row a front life; rows are only appended.
 
     Columns: u_minus and u_plus, the states on the front's left and right,
-    and speed (float64), kind (uint8 codes into _KIND_LABELS) and id
+    and speed (float64), kind (the label, in an object column) and id
     (int32). Rows [0, size) are set; the columns of a growing table have
     spare room past size.
     """
@@ -194,15 +125,15 @@ class FrontState:
 
     A snapshot stores its time, m float64 positions, m int32 rows of a
     front table and the state left of every front, so a stored front costs
-    12 bytes. states (float64, m + 1), speeds (float64), kinds (a
-    KindLabels), front_ids (int32) and their 29 m + 8 bytes are read
-    through the table, each read a new array. Snapshots of one trajectory
-    share its table.
+    12 bytes. states (float64, m + 1), speeds (float64), front_ids (int32)
+    and their 28 m + 8 bytes, and kinds (the tuple of the fronts' labels)
+    are read through the table, each read a new object. Snapshots of one
+    trajectory share its table.
 
     FrontState(time, positions, states, speeds, kinds, front_ids) builds a
-    one-snapshot table. kinds may be a KindLabels or labels; an id outside
-    the int32 range, or arrays whose lengths do not fit m positions, raise
-    InvariantViolation.
+    one-snapshot table from any sequence of kind labels. A position that
+    is not finite raises FluxRangeError; an id outside the int32 range, or
+    arrays whose lengths do not fit m positions, raise InvariantViolation.
     """
 
     time: float
@@ -213,10 +144,10 @@ class FrontState:
 
     def __init__(self, time, positions, states, speeds, kinds, front_ids):
         pos = np.asarray(positions, dtype=float)
+        check_finite("positions", pos)
         vals = np.asarray(states, dtype=float)
         speeds = np.asarray(speeds, dtype=float)
-        if not isinstance(kinds, KindLabels):
-            kinds = KindLabels(kinds)
+        kinds = np.array(list(kinds), dtype=object)
         ids = _front_ids(front_ids)
         m = len(pos)
         if (len(vals), len(speeds), len(kinds), len(ids)) != (m + 1, m, m, m):
@@ -225,7 +156,7 @@ class FrontState:
                 f"front ids; got {len(vals)} states, {len(speeds)} speeds, "
                 f"{len(kinds)} kinds and {len(ids)} front ids"
             )
-        table = _FrontTable(vals[:-1], vals[1:], speeds, kinds.codes, ids)
+        table = _FrontTable(vals[:-1], vals[1:], speeds, kinds, ids)
         self._set(time, pos, np.arange(m, dtype=_ROW_DTYPE), table, float(vals[0]))
 
     @classmethod
@@ -252,8 +183,8 @@ class FrontState:
         return self.table.speed.take(self.rows)
 
     @property
-    def kinds(self) -> KindLabels:
-        return KindLabels.from_codes(self.table.kind.take(self.rows))
+    def kinds(self) -> tuple[str, ...]:
+        return tuple(self.table.kind.take(self.rows).tolist())
 
     @property
     def front_ids(self) -> np.ndarray:
@@ -337,11 +268,8 @@ class Trajectory:
                 f"t={t} outside the trajectory span "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        times = [s.time for s in self.snapshots]
-        i = bisect_right(times, t) - 1
-        if i < 0:
-            i = 0
-        base = self.snapshots[i]
+        i = bisect_right(self.snapshots, t, key=lambda s: s.time) - 1
+        base = self.snapshots[max(i, 0)]
         dt = t - base.time
         return FrontState._of(
             t, base.positions + dt * base.speeds, base.rows, base.table, base.left_state
@@ -477,6 +405,7 @@ def front_state(
     """Build a validated snapshot at a finite time; speeds are computed from chords."""
     check_finite("time", time)
     pos = np.asarray(positions, dtype=float)
+    check_finite("positions", pos)
     vals = np.asarray(states, dtype=float)
     if len(vals) != len(pos) + 1:
         raise InvariantViolation(
@@ -501,11 +430,7 @@ def front_state(
                 f"{speeds[i]}, {speeds[i + 1]}"
             )
     if kinds is None:
-        # _label of every front: entropic where the states descend
-        codes = np.where(
-            vals[:-1] > vals[1:], _KIND_CODES[ENTROPIC_SHOCK], _KIND_CODES[EXPANSION_SHOCK]
-        )
-        kinds = KindLabels.from_codes(codes.astype(np.uint8))
+        kinds = list(map(_label, vals[:-1].tolist(), vals[1:].tolist()))
     if front_ids is None:
         front_ids = np.arange(len(pos), dtype=_ID_DTYPE)
     return FrontState(float(time), pos, vals, speeds, kinds, front_ids)
@@ -637,13 +562,13 @@ class _Tracker:
 
     pos (float64) and rows (int32 rows of table) have one entry per front;
     left is the state left of every front. table holds each front's states,
-    speed, kind code (into _KIND_LABELS) and id (int32, minted in order and
-    refused past 2**31 - 1), appended when an event emits the front. Moving
-    every front is one vectorized speeds * dt + pos, and a collision or
-    uncover splices its group in with one np.concatenate per array. Both
-    build new arrays and never write into old ones, so a snapshot keeps the
-    current arrays as they are; only the final snapshot, which would share
-    them with the last event's, copies. So an event costs one C pass per
+    speed, kind label and id (int32, minted in order and refused past
+    2**31 - 1), appended when an event emits the front. Moving every front
+    is one vectorized speeds * dt + pos, and a collision or uncover splices
+    its group in with one np.concatenate per array. Both build new arrays
+    and never write into old ones, so a snapshot keeps the current arrays
+    as they are; only the final snapshot, which would share them with the
+    last event's, copies. So an event costs one C pass per
     array plus interpreted work in the size of its group: the group's
     coincidence compares Python scalars, the emitted chain is checked in one
     Python loop and takes its speeds from one flux evaluation, and the new
@@ -760,14 +685,13 @@ class _Tracker:
             # the chords of chord_slopes, with one flux evaluation per state
             fv = self.flux.f(vals)
             speeds = (fv[:-1] - fv[1:]) / (vals[:-1] - vals[1:])
-        codes = np.array([_KIND_CODES[kind] for kind in kinds], dtype=np.uint8)
         if self._next_id + k - 1 > _ID_RANGE.max:
             raise InvariantViolation(
                 f"front id {self._next_id + k - 1} would pass the int32 limit {_ID_RANGE.max}"
             )
         ids = np.arange(self._next_id, self._next_id + k, dtype=_ID_DTYPE)
         self._next_id += k
-        first = self.table.append(vals[:-1], vals[1:], speeds, codes, ids)
+        first = self.table.append(vals[:-1], vals[1:], speeds, kinds, ids)
         for r in self.rows[p : q + 1].tolist():
             self.dead[r] = 1
         self.dead += bytes(k)

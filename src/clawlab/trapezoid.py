@@ -38,7 +38,6 @@ from .errors import check_finite, check_positive
 from .fluxes import ConvexFlux
 from .fronts import (
     FrontState,
-    KindLabels,
     Trajectory,
     _fragment_step,
     _track,
@@ -251,8 +250,8 @@ def _merge_states(
     br = float(dom.theta_plus(t_ref))
     # one read of each field, each read going through the front table
     o_states, r_states = orig.states, res.states
-    o = (orig.time, orig.positions, orig.speeds, orig.kinds.codes, orig.front_ids)
-    r = (res.time, res.positions, res.speeds, res.kinds.codes, res.front_ids)
+    o = (orig.time, orig.positions, orig.speeds, np.array(orig.kinds, object), orig.front_ids)
+    r = (res.time, res.positions, res.speeds, np.array(res.kinds, object), res.front_ids)
 
     def moved(base, t: float) -> np.ndarray:
         time, pos, speeds = base[:3]
@@ -264,10 +263,10 @@ def _merge_states(
     mid_sel = (xr > bl) & (xr < br)
 
     def emit(base, sel, offset: int):
-        codes, ids = base[3:]
+        kinds, ids = base[3:]
         return (
             list(moved(base, t_emit)[sel]),
-            codes[sel],
+            kinds[sel],
             [i + offset for i in ids[sel].tolist()],
         )
 
@@ -292,7 +291,7 @@ def _merge_states(
             )
     positions = pos_l + pos_m + pos_r
     states = states_l + states_m[1:] + states_r[1:]
-    codes = np.concatenate((kinds_l, kinds_m, kinds_r))
+    kinds = np.concatenate((kinds_l, kinds_m, kinds_r))
     ids = ids_l + ids_m + ids_r
     # Drop zero-width jumps introduced by seam rounding.
     keep_pos, keep_states, keep, keep_ids = [], [states[0]], [], []
@@ -307,8 +306,7 @@ def _merge_states(
         keep_states.append(states[j + 1])
         keep.append(j)
         keep_ids.append(ids[j])
-    kinds = KindLabels.from_codes(codes[keep])
-    return front_state(flux, t_emit, keep_pos, keep_states, kinds, keep_ids)
+    return front_state(flux, t_emit, keep_pos, keep_states, kinds[keep], keep_ids)
 
 
 def trapezoid_splice(

@@ -23,6 +23,7 @@ from clawlab import (
     entropy_rate_Hdot,
     equal_split_family,
     evolve,
+    front_state,
     fan_ep_rate,
     get_scenario,
     jump_abs_ep_rate_kinetic,
@@ -272,6 +273,16 @@ def test_econd_state_slack_threshold():
     state = state_from_data(fl, [0.0], [0.0, 0.25], time=1.0)
     assert not check_e_condition_state(state, 1.0, slack=0.2).holds
     assert check_e_condition_state(state, 1.0, slack=0.3).holds
+
+
+def test_econd_state_reports_the_first_of_equal_worst_jumps():
+    """Two ascending jumps of one height, apart and coincident: the report
+    names the first front, with its excess to the bit."""
+    fl = burgers_flux()
+    for x0, x1 in ((-0.5, 0.0), (0.0, 0.5), (0.0, 0.0)):
+        state = front_state(fl, 1.0, [x0, x1], [0.0, 0.25, 0.5])
+        rep = check_e_condition_state(state, 1.0)
+        assert astuple(rep) == (False, 0.25, (x0, x0), 0.0)
 
 
 def test_econd_needs_positive_time():

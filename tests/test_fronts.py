@@ -30,7 +30,6 @@ from clawlab.errors import ClawError, FluxRangeError
 from clawlab.fluxes import FLUX_CATALOG, _band_bound, chord_slope, chord_slopes
 from clawlab.fronts import (
     FrontState,
-    KindLabels,
     Trajectory,
     _resolve,
     _Tracker,
@@ -536,25 +535,6 @@ def test_from_fan_rejects_non_finite_time_and_step(t, step, name):
         from_fan(fan, t, step)
 
 
-def test_kind_labels_read_like_the_tuple_of_their_labels():
-    labels = ("entropic_shock", "rarefaction_fragment", "expansion_shock", "rarefaction_fragment")
-    kinds = KindLabels(labels)
-    assert kinds.codes.dtype == np.uint8 and kinds.codes.shape == (4,)
-    assert kinds == labels and labels == kinds and hash(kinds) == hash(labels)
-    assert kinds != labels[:-1] and kinds != list(labels)
-    assert len(kinds) == 4 and tuple(kinds) == labels
-    assert all(type(k) is str for k in kinds)
-    assert kinds[0] == labels[0] and kinds[-1] == labels[-1] and kinds[-3] == labels[-3]
-    assert isinstance(kinds[1:3], KindLabels) and kinds[1:3] == labels[1:3]
-    assert kinds[::-1] == labels[::-1]
-    assert kinds[np.array([True, False, False, True])] == (labels[0], labels[3])
-    assert kinds[np.zeros(4, dtype=bool)] == ()
-    with pytest.raises(IndexError):
-        kinds[4]
-    with pytest.raises(ValueError):
-        kinds.codes[0] = 1
-
-
 @pytest.mark.parametrize(
     "kinds", [("expansion_shock", "entropic_shock"), ["expansion_shock", "entropic_shock"]],
     ids=["tuple", "list"],
@@ -565,14 +545,8 @@ def test_front_state_holds_given_kinds_as_kind_labels(kinds):
                        np.array([0.5, 0.5]), kinds, np.array([0, 1]))
     checked = front_state(fl, 0.0, [0.0, 1.0], [0.0, 1.0, 0.0], kinds)
     for st in (built, checked):
-        assert isinstance(st.kinds, KindLabels)
+        assert type(st.kinds) is tuple
         assert st.kinds == ("expansion_shock", "entropic_shock")
-    # each read of kinds is a new KindLabels over the table's kind column; a
-    # given KindLabels becomes that column as it is, with no re-encoding
-    given = built.kinds
-    rebuilt = FrontState(0.0, built.positions, built.states, built.speeds, given,
-                         built.front_ids)
-    assert rebuilt.table.kind is given.codes and rebuilt.kinds == given
 
 
 def test_a_label_outside_the_catalog_survives_evolve():
@@ -611,9 +585,10 @@ def test_final_snapshot_copies_when_the_last_event_is_at_t_end():
     assert traj.events[-1].time == traj.t_end == 1.0
     a, b = traj.snapshots[-2:]
     assert a.time == b.time == 1.0
+    assert a.kinds == b.kinds
     for x, y in zip(
-        (a.positions, a.states, a.speeds, a.kinds.codes, a.front_ids),
-        (b.positions, b.states, b.speeds, b.kinds.codes, b.front_ids),
+        (a.positions, a.states, a.speeds, a.front_ids),
+        (b.positions, b.states, b.speeds, b.front_ids),
     ):
         assert np.array_equal(x, y) and not np.shares_memory(x, y)
 
@@ -774,8 +749,8 @@ class _SearchingTracker(_Tracker):
 
 
 def _bits(snap):
-    arrays = (snap.positions, snap.states, snap.speeds, snap.kinds.codes, snap.front_ids)
-    return (snap.time, *((a.dtype.str, a.tobytes()) for a in arrays))
+    arrays = (snap.positions, snap.states, snap.speeds, snap.front_ids)
+    return (snap.time, snap.kinds, *((a.dtype.str, a.tobytes()) for a in arrays))
 
 
 @pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps])
@@ -863,20 +838,19 @@ def test_a_stored_front_costs_12_bytes():
     assert sum(s.positions.nbytes + s.rows.nbytes for s in snaps) == 12 * stored
 
 
-def test_the_arrays_a_snapshot_reads_cost_29_bytes_a_front():
+def test_the_arrays_a_snapshot_reads_cost_28_bytes_a_front():
     """Read through the table, a front gives 8 bytes each of position,
-    state and speed, 4 of id and 1 of kind code; each snapshot adds 8 for
-    its last state."""
+    state and speed and 4 of id; each snapshot adds 8 for its last state."""
     traj = _entropic_100_jumps()
     snaps = traj.snapshots
     nbytes = sum(
         a.nbytes
         for s in snaps
-        for a in (s.positions, s.states, s.speeds, s.kinds.codes, s.front_ids)
+        for a in (s.positions, s.states, s.speeds, s.front_ids)
     )
     stored = sum(s.n_fronts for s in snaps)
     assert stored > 10_000
-    assert nbytes == 29 * stored + 8 * len(snaps)
+    assert nbytes == 28 * stored + 8 * len(snaps)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,14 @@ from clawlab.entropy import (
 )
 from clawlab.errors import FluxRangeError
 from clawlab.fluxes import burgers_flux, make_convex_flux, make_flux
-from clawlab.fronts import evolve, from_fan, front_state, resolve_jump, state_from_data
+from clawlab.fronts import (
+    FrontState,
+    evolve,
+    from_fan,
+    front_state,
+    resolve_jump,
+    state_from_data,
+)
 from clawlab.godunov import Grid1D
 from clawlab.hopflax import hopf_lax_minimizer, potential_from_step, sample_oracle
 from clawlab.riemann import evaluate_fan, sample_fan, solve_riemann
@@ -49,6 +56,11 @@ TRACE = trace_on_lambda(TRAJ, TrapezoidDomain(t1=0.25, t2=0.75, delta=0.2, lambd
 # (entry point, parameter, must be positive, call with the parameter set to v)
 CALLS = [
     ("front_state", "time", False, lambda v: front_state(FL, v, [0.0], [1.0, 0.0])),
+    # NaN positions once let two shocks that must meet pass each other
+    ("front_state", "positions", False,
+     lambda v: front_state(FL, 0.0, [0.0, v], [1.0, 0.5, 0.0])),
+    ("FrontState", "positions", False,
+     lambda v: FrontState(0.0, [v], [1.0, 0.0], [0.5], ["entropic_shock"], [0])),
     ("value_at", "x", False, lambda v: STATE.value_at(v)),
     ("sample", "x", False, lambda v: TRAJ.sample(0.5, [0.1, v])),
     ("resolve_jump", "u_l", False, lambda v: resolve_jump(FL, v, 0.0, 0.1)),

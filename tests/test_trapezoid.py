@@ -194,6 +194,36 @@ def test_splice_handles_laterally_entering_expansion_shock():
     assert np.array_equal(spliced.sample(t_probe, xs_out), traj.sample(t_probe, xs_out))
 
 
+def test_splice_keeps_kinds_admissible_inside_and_verbatim_outside():
+    """The data of test_splice_handles_laterally_entering_expansion_shock:
+    inside the domain only admissible kinds live; outside it the original
+    expansion shock keeps its position, id and kind until it enters."""
+    fl = burgers_flux(2.0)
+    traj = evolve(state_from_data(fl, [-1.0], [1.0, 2.0]), fl, 1.5, mode="as_given")
+    dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=0.2, lambda_hat=0.2)
+    spliced = trapezoid_splice(traj, dom, rarefaction_step=0.05)
+    inside = 0
+    for snap in spliced.snapshots:
+        if not dom.t1 < snap.time <= dom.t2:
+            continue
+        lo = float(dom.theta_minus(snap.time)) + 1e-9
+        hi = float(dom.theta_plus(snap.time)) - 1e-9
+        for x, kind in zip(snap.positions.tolist(), snap.kinds):
+            if lo < x < hi:
+                inside += 1
+                assert kind in ("entropic_shock", "rarefaction_fragment")
+    assert inside > 0
+    t_enter = min(e.time for e in spliced.events if e.kind == "uncover")
+    before = [s for s in spliced.snapshots if s.time < t_enter]
+    assert [s.time for s in before] == [0.0, dom.t1]
+    for snap in before:
+        orig = traj.state_at(snap.time)
+        assert orig.kinds == ("expansion_shock",)
+        assert snap.kinds == orig.kinds
+        assert np.array_equal(snap.positions, orig.positions)
+        assert np.array_equal(snap.front_ids, orig.front_ids)
+
+
 def test_splice_ep_monotone_on_windows_containing_gamma():
     fl = burgers_flux()
     state = state_from_data(fl, [-0.4, 0.4], [0.0, 1.0, 0.0])

@@ -15,14 +15,14 @@ prints one ``<group> <sha256>`` line per group:
   of 150 CLI runs on the fixtures and on Riemann data.
 
 A trajectory's parts are ``snapshots`` (every field of every snapshot, as
-read), ``events``, ``lifetimes`` (every column), ``state_at`` (the
-snapshot at 13 times across its span), ``ledgers`` (the rows and totals of
-``total_ep``, ``total_ep_kinetic`` and ``total_ep_delta_h1`` over a full
-and a bounded window) and ``weak`` (the residual of every bump of its
-default battery). ``splice`` digests the spliced trajectory's parts, or
-the error a splice raises. Running this on two checkouts and diffing the
-outputs shows whether a change keeps every bit. Uses the standard library
-and numpy only.
+read, with kinds as their labels), ``events``, ``lifetimes`` (every
+column), ``state_at`` (the snapshot at 13 times across its span),
+``ledgers`` (the rows and totals of ``total_ep``, ``total_ep_kinetic``
+and ``total_ep_delta_h1`` over a full and a bounded window) and ``weak``
+(the residual of every bump of its default battery). ``splice`` digests
+the spliced trajectory's parts, or the error a splice raises. Running this
+on two checkouts and diffing the outputs shows whether a change keeps
+every bit. Uses the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class Digest:
 
 def snapshot_into(d: Digest, s) -> None:
     d.value((float(s.time), s.n_fronts))
-    for a in (s.positions, s.states, s.speeds, s.kinds.codes, s.front_ids):
+    for a in (s.positions, s.states, s.speeds, s.front_ids):
         d.array(a)
-    d.value(tuple(s.kinds) if s.n_fronts <= 64 else len(s.kinds))
+    d.value(tuple(s.kinds))
 
 
 def trajectory_parts(clawlab, traj) -> dict[str, str]:
