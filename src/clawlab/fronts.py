@@ -10,7 +10,7 @@ evolve loop advances a priority queue of pairwise collision events:
   * as_given mode merges colliding fronts into the single chord-speed
     front, preserving non-entropic jumps indefinitely.
 
-The tracker holds the front positions and their rows in numpy arrays.
+The tracker holds the front positions, speeds and rows in numpy arrays.
 A row indexes the trajectory's front table, which holds the states,
 speed, kind label and id of one front life: in tracker output a front id
 never changes its states, speed or kind, so these are stored once per
@@ -21,9 +21,11 @@ collision group; a group of any size is one Riemann problem. A queued
 pair whose front has since been replaced is dropped by a table of dead
 rows, with no search of the fronts. Every event builds new arrays and
 never writes into old ones, so each event's snapshot keeps that event's
-arrays without a copy. A snapshot stores float64 positions and int32
-rows, so a stored front costs 12 bytes; its states, speeds, kinds (a
-tuple of labels) and int32 front ids are read through the table.
+positions without a copy. The table logs each event's splice of the
+rows, so a snapshot stores only float64 positions, 8 bytes a front, and
+its event's index: its rows are replayed from the log, and its states,
+speeds, kinds (a tuple of labels) and int32 front ids are read through
+the table at those rows.
 
 Snapshots are emitted at every event time. Snapshots taken exactly at an
 event carry coincident positions with strictly increasing speeds there;
@@ -60,6 +62,11 @@ _TIME_TOL = 1e-12
 
 _ID_DTYPE = np.dtype(np.int32)
 _ID_RANGE = np.iinfo(_ID_DTYPE)
+_ROW_DTYPE = np.dtype(np.int32)
+# A front table keeps the rows of every _CHECKPOINT_EVENTS-th event, 4 bytes
+# a front; any other event's rows are at most _CHECKPOINT_EVENTS - 1 splices
+# away.
+_CHECKPOINT_EVENTS = 16
 
 
 def _front_ids(ids) -> np.ndarray:
@@ -70,6 +77,12 @@ def _front_ids(ids) -> np.ndarray:
     """
     if isinstance(ids, np.ndarray) and ids.dtype is _ID_DTYPE:
         return ids
+    # a short list of Python ints, as a splice merges them, is checked in
+    # Python: a numpy range check costs more than the conversion
+    if type(ids) is list and set(map(type, ids)) <= {int} and (
+        not ids or _ID_RANGE.min <= min(ids) and max(ids) <= _ID_RANGE.max
+    ):
+        return np.array(ids, dtype=_ID_DTYPE)
     arr = np.asarray(ids)
     inside = (arr >= _ID_RANGE.min) & (arr <= _ID_RANGE.max)  # NaN is outside
     if not np.all(inside):
@@ -87,16 +100,32 @@ class _FrontTable:
     and speed (float64), kind (the label, in an object column) and id
     (int32). Rows [0, size) are set; the columns of a growing table have
     spare room past size.
+
+    The table also keeps the splice log of the fronts' rows: at event 0
+    they are rows 0..size-1, and event e + 1 replaces rows [p, stop) of
+    event e by the new rows [first, end). The rows of every
+    _CHECKPOINT_EVENTS-th event are kept as they were made, and rows_at
+    rebuilds any other event's by replaying splices from the nearest such
+    checkpoint, or from the last rows it rebuilt when those are nearer.
     """
 
     _COLUMNS = ("u_minus", "u_plus", "speed", "kind", "id")
-    __slots__ = (*_COLUMNS, "size")
+    __slots__ = (*_COLUMNS, "size", "_splices", "_checkpoints", "_last")
 
     def __init__(self, u_minus, u_plus, speed, kind, ids):
         self.u_minus, self.u_plus, self.speed, self.kind, self.id = (
             u_minus, u_plus, speed, kind, ids
         )
         self.size = ids.size
+        rows = np.arange(self.size, dtype=_ROW_DTYPE)
+        self._splices: list[tuple[int, int, int, int]] = []
+        self._checkpoints = [rows]
+        self._last = (0, rows)  # (event, rows) of the last rows_at
+
+    @property
+    def events(self) -> int:
+        """The number of splices logged, which is the last event's index."""
+        return len(self._splices)
 
     def append(self, u_minus, u_plus, speed, kind, ids) -> int:
         """Append len(ids) rows and return the first; columns grow by doubling."""
@@ -115,20 +144,43 @@ class _FrontTable:
         self.size = stop
         return first
 
+    def log_splice(self, p: int, stop: int, first: int, rows: np.ndarray) -> None:
+        """Log the next event: rows [p, stop) replaced by rows [first, size).
 
-_ROW_DTYPE = np.dtype(np.int32)
+        rows are the event's rows, kept as a checkpoint (not copied: no
+        caller writes them) when the event's index is a multiple of
+        _CHECKPOINT_EVENTS.
+        """
+        self._splices.append((p, stop, first, self.size))
+        if len(self._splices) % _CHECKPOINT_EVENTS == 0:
+            self._checkpoints.append(rows)
+
+    def rows_at(self, event: int) -> np.ndarray:
+        """The int32 rows of the fronts at an event, left to right."""
+        done, rows = self._last
+        if done != event:
+            start = event - event % _CHECKPOINT_EVENTS
+            if not start < done < event:
+                done, rows = start, self._checkpoints[start // _CHECKPOINT_EVENTS]
+            for p, stop, first, end in self._splices[done:event]:
+                new = np.arange(first, end, dtype=_ROW_DTYPE)
+                rows = np.concatenate((rows[:p], new, rows[stop:]))
+            self._last = (event, rows)
+        return rows
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class FrontState:
     """Snapshot of a tracked solution: m fronts separating m + 1 states.
 
-    A snapshot stores its time, m float64 positions, m int32 rows of a
-    front table and the state left of every front, so a stored front costs
-    12 bytes. states (float64, m + 1), speeds (float64), front_ids (int32)
-    and their 28 m + 8 bytes, and kinds (the tuple of the fronts' labels)
-    are read through the table, each read a new object. Snapshots of one
-    trajectory share its table.
+    A snapshot stores its time, m float64 positions, the state left of
+    every front, a front table and the index of its event in the table's
+    splice log, so a stored front costs 8 bytes. rows (the fronts' int32
+    rows of the table) are rebuilt from that log on each read; states
+    (float64, m + 1), speeds (float64), front_ids (int32) and their
+    28 m + 8 bytes, and kinds (the tuple of the fronts' labels) are read
+    through the table, each read a new object. Snapshots of one trajectory
+    share its table.
 
     FrontState(time, positions, states, speeds, kinds, front_ids) builds a
     one-snapshot table from any sequence of kind labels. A position that
@@ -138,9 +190,9 @@ class FrontState:
 
     time: float
     positions: np.ndarray
-    rows: np.ndarray
     table: _FrontTable
     left_state: float
+    event: int
 
     def __init__(self, time, positions, states, speeds, kinds, front_ids):
         pos = np.asarray(positions, dtype=float)
@@ -157,22 +209,26 @@ class FrontState:
                 f"{len(kinds)} kinds and {len(ids)} front ids"
             )
         table = _FrontTable(vals[:-1], vals[1:], speeds, kinds, ids)
-        self._set(time, pos, np.arange(m, dtype=_ROW_DTYPE), table, float(vals[0]))
+        self._set(time, pos, table, float(vals[0]), 0)
 
     @classmethod
-    def _of(cls, time, positions, rows, table, left_state) -> FrontState:
-        """The snapshot of given rows of a table, at given positions."""
+    def _of(cls, time, positions, table, left_state, event) -> FrontState:
+        """The snapshot of a table's fronts at an event, at given positions."""
         out = cls.__new__(cls)
-        out._set(time, positions, rows, table, left_state)
+        out._set(time, positions, table, left_state, event)
         return out
 
-    def _set(self, time, positions, rows, table, left_state) -> None:
+    def _set(self, time, positions, table, left_state, event) -> None:
         set_field = object.__setattr__  # the one place a frozen snapshot is written
         set_field(self, "time", time)
         set_field(self, "positions", positions)
-        set_field(self, "rows", rows)
         set_field(self, "table", table)
         set_field(self, "left_state", left_state)
+        set_field(self, "event", event)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.table.rows_at(self.event)
 
     @property
     def states(self) -> np.ndarray:
@@ -270,10 +326,11 @@ class Trajectory:
             )
         i = bisect_right(self.snapshots, t, key=lambda s: s.time) - 1
         base = self.snapshots[max(i, 0)]
-        dt = t - base.time
-        return FrontState._of(
-            t, base.positions + dt * base.speeds, base.rows, base.table, base.left_state
-        )
+        # the bits of positions + dt * speeds, in one new array
+        pos = base.table.speed.take(base.rows)
+        pos *= t - base.time
+        pos += base.positions
+        return FrontState._of(t, pos, base.table, base.left_state, base.event)
 
     def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self.state_at(t).value_at(np.asarray(xs, dtype=float)))
@@ -288,7 +345,10 @@ class Trajectory:
                 yield (t_a, min(t_b, self.t_end), snap)
 
     def lifetimes(self) -> Lifetimes:
-        """Front lifetimes derived from the snapshots on the first call.
+        """Front lifetimes derived on the first call from the snapshots' rows.
+
+        The snapshots are read in time order, so their front tables replay
+        one splice a snapshot.
 
         One row per maximal run of consecutive segments in which a front
         keeps its id, both states and its stored speed; a front whose id
@@ -560,15 +620,17 @@ def mass(state: FrontState) -> float:
 class _Tracker:
     """State of the event loop, fronts held left to right in numpy arrays.
 
-    pos (float64) and rows (int32 rows of table) have one entry per front;
-    left is the state left of every front. table holds each front's states,
-    speed, kind label and id (int32, minted in order and refused past
-    2**31 - 1), appended when an event emits the front. Moving every front
-    is one vectorized speeds * dt + pos, and a collision or uncover splices
-    its group in with one np.concatenate per array. Both build new arrays
-    and never write into old ones, so a snapshot keeps the current arrays
-    as they are; only the final snapshot, which would share them with the
-    last event's, copies. So an event costs one C pass per
+    pos and speeds (float64) and rows (int32 rows of table) have one entry
+    per front; left is the state left of every front. table holds each
+    front's states, speed, kind label and id (int32, minted in order and
+    refused past 2**31 - 1), appended when an event emits the front, and
+    logs each event's splice of rows. Moving every front is one vectorized
+    speeds * dt + pos, and a collision or uncover splices its group in with
+    one np.concatenate per array. Both build new arrays and never write
+    into old ones, so a snapshot keeps the current positions as they are,
+    and the table keeps every few events' rows as its checkpoints; only the
+    final snapshot, which would share its positions with the last event's,
+    copies. So an event costs one C pass per
     array plus interpreted work in the size of its group: the group's
     coincidence compares Python scalars, the emitted chain is checked in one
     Python loop and takes its speeds from one flux evaluation, and the new
@@ -600,7 +662,8 @@ class _Tracker:
             given.u_minus.take(rows), given.u_plus.take(rows), given.speed.take(rows),
             given.kind.take(rows), ids
         )
-        self.rows = np.arange(ids.size, dtype=_ROW_DTYPE)
+        self.rows = self.table.rows_at(0)
+        self.speeds = self.table.speed.copy()
         self.left = snap.left_state
         self._next_id = int(ids.max()) + 1 if ids.size else 0
         self._counter = itertools.count()
@@ -614,9 +677,9 @@ class _Tracker:
         return self.left if j == 0 else float(self.table.u_plus[self.rows[j - 1]])
 
     def snapshot(self, copy: bool = False) -> FrontState:
-        """The fronts now, holding the tracker's arrays unless copy is set."""
-        pos, rows = (self.pos.copy(), self.rows.copy()) if copy else (self.pos, self.rows)
-        return FrontState._of(self.t, pos, rows, self.table, self.left)
+        """The fronts now, holding the tracker's positions unless copy is set."""
+        pos = self.pos.copy() if copy else self.pos
+        return FrontState._of(self.t, pos, self.table, self.left, self.table.events)
 
     def advance_to(self, t: float) -> None:
         dt = t - self.t
@@ -624,8 +687,7 @@ class _Tracker:
             raise InvariantViolation(f"time regression {self.t} -> {t}")
         if dt != 0.0:
             # the bits of pos + speeds * dt, in one new array
-            pos = self.table.speed.take(self.rows)
-            pos *= dt
+            pos = self.speeds * dt
             pos += self.pos
             self.pos = pos
         self.t = t
@@ -636,10 +698,9 @@ class _Tracker:
         hi = min(hi, self.pos.size - 1)
         if lo >= hi:
             return
-        rows = self.rows[lo : hi + 1]
-        speeds = self.table.speed.take(rows).tolist()
+        speeds = self.speeds[lo : hi + 1].tolist()
         pos = self.pos[lo : hi + 1].tolist()
-        rows = rows.tolist()
+        rows = self.rows[lo : hi + 1].tolist()
         t, heap, limit = self.t, self.heap, t_stop + _TIME_TOL
         for j in range(hi - lo):
             s_l = speeds[j]
@@ -678,26 +739,28 @@ class _Tracker:
         for u in chain:
             if not abs(u) <= band or u == prev:
                 # chord_slopes names the equal pair or the state off the band
-                speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
+                new_speeds = chord_slopes(self.flux, vals[:-1], vals[1:])
                 break
             prev = u
         else:
             # the chords of chord_slopes, with one flux evaluation per state
             fv = self.flux.f(vals)
-            speeds = (fv[:-1] - fv[1:]) / (vals[:-1] - vals[1:])
+            new_speeds = (fv[:-1] - fv[1:]) / (vals[:-1] - vals[1:])
         if self._next_id + k - 1 > _ID_RANGE.max:
             raise InvariantViolation(
                 f"front id {self._next_id + k - 1} would pass the int32 limit {_ID_RANGE.max}"
             )
         ids = np.arange(self._next_id, self._next_id + k, dtype=_ID_DTYPE)
         self._next_id += k
-        first = self.table.append(vals[:-1], vals[1:], speeds, kinds, ids)
+        first = self.table.append(vals[:-1], vals[1:], new_speeds, kinds, ids)
         for r in self.rows[p : q + 1].tolist():
             self.dead[r] = 1
         self.dead += bytes(k)
         new_rows = np.arange(first, first + k, dtype=_ROW_DTYPE)
         self.pos = np.concatenate((self.pos[:p], [x] * k, self.pos[q + 1 :]))
+        self.speeds = np.concatenate((self.speeds[:p], new_speeds, self.speeds[q + 1 :]))
         self.rows = np.concatenate((self.rows[:p], new_rows, self.rows[q + 1 :]))
+        self.table.log_splice(p, q + 1, first, self.rows)
         if p == 0:
             self.left = float(chain[0])
         return (p, p + k - 1)

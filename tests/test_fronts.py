@@ -829,8 +829,9 @@ def test_tracker_refuses_to_mint_an_id_past_the_int32_limit():
         evolve(last, fl, 3.0, mode="as_given")
 
 
-def test_a_stored_front_costs_12_bytes():
-    """A snapshot stores 8 bytes of position and a 4-byte row per front."""
+def test_a_reader_gets_float64_positions_and_int32_rows():
+    """A snapshot hands a reader 8 bytes of position and a 4-byte row per
+    front."""
     snaps = _entropic_100_jumps().snapshots
     stored = sum(s.n_fronts for s in snaps)
     assert stored > 10_000
@@ -851,6 +852,96 @@ def test_the_arrays_a_snapshot_reads_cost_28_bytes_a_front():
     stored = sum(s.n_fronts for s in snaps)
     assert stored > 10_000
     assert nbytes == 28 * stored + 8 * len(snaps)
+
+
+def test_a_stored_front_costs_8_bytes_plus_checkpoint_rows():
+    """A snapshot holds its positions and no rows: 8 bytes a stored front.
+    The table keeps the rows of every K-th event, about 4 / K bytes more
+    per stored front, and rebuilds the others from its splice log."""
+    traj = _entropic_100_jumps()
+    snaps = traj.snapshots
+    table = snaps[0].table
+    k = fronts._CHECKPOINT_EVENTS
+    stored = sum(s.n_fronts for s in snaps)
+    assert stored > 10_000 and all(s.table is table for s in snaps)
+    assert [f.name for f in fields(FrontState)] == [
+        "time", "positions", "table", "left_state", "event"
+    ]
+    assert sum(s.positions.nbytes for s in snaps) == 8 * stored
+    at_checkpoints = sum(snaps[e].n_fronts for e in range(0, len(traj.events) + 1, k))
+    assert sum(rows.nbytes for rows in table._checkpoints) == 4 * at_checkpoints
+    assert at_checkpoints * k == pytest.approx(stored, rel=0.05)
+
+
+def _recording_tracker(trackers):
+    """A tracker that keeps a copy of its rows at every snapshot and the
+    left state around every splice, and adds itself to trackers."""
+
+    class Recording(_Tracker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.kept_rows = []
+            self.left_changes = []  # (p, q, left before, left after) per splice
+            trackers.append(self)
+
+        def snapshot(self, copy=False):
+            self.kept_rows.append(self.rows.copy())
+            return super().snapshot(copy)
+
+        def replace_group(self, p, q, x, chain, kinds):
+            left = self.left
+            out = super().replace_group(p, q, x, chain, kinds)
+            self.left_changes.append((p, q, left, self.left))
+            return out
+
+    return Recording
+
+
+def _splice_with_uncovers():
+    """An as_given run spliced on a domain that 12 fronts enter through
+    its lateral edges, 8 of them on the left, which changes the left
+    state of the re-solve."""
+    fl = burgers_flux(1.5)
+    xs, us = _steps(1001, 20, 2.0, 1.0)
+    traj = evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given",
+                  rarefaction_step=0.05)
+    dom = TrapezoidDomain(t1=0.2, t2=0.8, delta=0.5, lambda_hat=0.9 * lambda0(fl, 1.0))
+    return trapezoid_splice(traj, dom)
+
+
+def _assert_rows_replayed(tracker):
+    snaps, kept = tracker.snapshots, tracker.kept_rows
+    assert len(snaps) == len(kept)
+    n = len(snaps)
+    forward, reverse = range(n), range(n - 1, -1, -1)
+    strided = [*range(0, n, 5), *range(1, n, 7)]
+    repeated = [n // 2] * 3 + [n - 1] * 2 + [1] * 2
+    for i in [*forward, *reverse, *strided, *repeated]:
+        rows = snaps[i].rows
+        assert (rows.dtype, rows.shape, rows.tobytes()) == (
+            kept[i].dtype, kept[i].shape, kept[i].tobytes()
+        ), i
+
+
+@pytest.mark.parametrize("build", [_entropic_100_jumps, _as_given_40_jumps, _splice_with_uncovers])
+def test_replayed_rows_are_the_rows_the_tracker_kept(build, monkeypatch):
+    """Every snapshot's rows, replayed from the splice log, equal bit for
+    bit the rows the tracker held at its event: read forward, backward,
+    in strides and again and again."""
+    trackers = []
+    monkeypatch.setattr(fronts, "_Tracker", _recording_tracker(trackers))
+    build()
+    assert len(trackers[-1].snapshots) > fronts._CHECKPOINT_EVENTS + 1
+    for tracker in trackers:
+        _assert_rows_replayed(tracker)
+    if build is _splice_with_uncovers:
+        resolve = trackers[-1]
+        uncovers = [c for e, c in zip(resolve.events, resolve.left_changes) if e.kind == "uncover"]
+        left = [c for c in uncovers if c[:2] == (0, -1) and c[2] != c[3]]
+        right = [c for c in uncovers if c[1] == c[0] - 1 and c[0] > 0 and c[2] == c[3]]
+        assert (len(uncovers), len(left), len(right)) == (12, 8, 4)
+        after_events = resolve.snapshots[1:-1]
+        assert [s.left_state for s in after_events] == [c[3] for c in resolve.left_changes]
 
 
 @pytest.mark.parametrize(

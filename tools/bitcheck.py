@@ -15,7 +15,8 @@ prints one ``<group> <sha256>`` line per group:
   of 150 CLI runs on the fixtures and on Riemann data.
 
 A trajectory's parts are ``snapshots`` (every field of every snapshot, as
-read, with kinds as their labels), ``events``, ``lifetimes`` (every
+read, with kinds as their labels), ``snapshots_reversed`` (the same, read
+from the last snapshot to the first), ``events``, ``lifetimes`` (every
 column), ``state_at`` (the snapshot at 13 times across its span),
 ``ledgers`` (the rows and totals of ``total_ep``, ``total_ep_kinetic``
 and ``total_ep_delta_h1`` over a full and a bounded window) and ``weak``
@@ -80,6 +81,11 @@ def trajectory_parts(clawlab, traj) -> dict[str, str]:
     for s in traj.snapshots:
         snapshot_into(d, s)
     out["snapshots"] = d.hex()
+
+    d = Digest()
+    for s in reversed(traj.snapshots):
+        snapshot_into(d, s)
+    out["snapshots_reversed"] = d.hex()
 
     d = Digest()
     for e in traj.events:
