@@ -22,6 +22,7 @@ computation in this package lives on a bounded band where it is vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,6 +63,21 @@ class ConvexFlux:
     def __post_init__(self):
         check_positive("ddf_lower_bound", self.ddf_lower_bound)
         check_positive("domain_radius", self.domain_radius)
+
+    @cached_property
+    def sonic_state(self) -> float:
+        """The minimizer of f on the band: the root of f', or the end of
+        [-R, R] nearest it when f' keeps one sign there.
+
+        Computed once per flux object, since without inv_df it bisects; a
+        copy made by dataclasses.replace computes its own.
+        """
+        R = self.domain_radius
+        if float(self.df(-R)) >= 0.0:
+            return -R
+        if float(self.df(R)) <= 0.0:
+            return R
+        return float(inverse_derivative(self, 0.0))
 
 
 def _quadrature_antiderivative(fn: Callable) -> Callable:

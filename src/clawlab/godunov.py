@@ -17,16 +17,19 @@ Volume Methods for Hyperbolic Problems, 2002, ch. 12)
 
     F(u_L, u_R) = max(f(max(u_L, u_s)), f(min(u_R, u_s))),
 
-u_s the sonic state, so a step evaluates f once, on the cells, and
-f(u_s) once per run. In each case the extremum rule's state u* is u_L,
-u_R or u_s, and the max rule picks the same f value whenever f in
-floating point has its minimum at f(u_s) and is monotone on each side of
-u_s. That holds for burgers, cosh and poly4 (u_s = 0 and f(0) = 0 <= f)
-and for a shifted quadratic, so there both rules agree bit for bit. A
-user flux need not have its floating-point minimum at f(u_s): exp(u) - 2u
-rounds below f(log 2) within about 1e-8 of log 2, and an interface with a
-state that close to u_s can take a flux one rounding step (2.2e-16) away
-from the extremum rule's. The interface states themselves stay in use:
+u_s the sonic state (ConvexFlux.sonic_state, computed once per flux
+object). A step writes max(u, u_s) and min(u, u_s) of the padded cells
+into the two rows of one work array and evaluates f once, on both rows;
+besides f it makes six numpy calls, none of which allocates. In each
+case the extremum rule's state u* is u_L, u_R or u_s, and the max rule
+picks the same f value whenever f in floating point has its minimum at
+f(u_s) and is monotone on each side of u_s. That holds for burgers,
+cosh and poly4 (u_s = 0 and f(0) = 0 <= f) and for a shifted quadratic,
+so there both rules agree bit for bit. A user flux need not have its
+floating-point minimum at f(u_s): exp(u) - 2u rounds below f(log 2)
+within about 1e-8 of log 2, and an interface with a state that close to
+u_s can take a flux one rounding step (2.2e-16) away from the extremum
+rule's. The interface states themselves stay in use:
 interface_state and the step ledger's ghost states need u*, because xi
 takes the state, not its flux.
 
@@ -47,17 +50,18 @@ on purpose: a step from the data's hull raises the effective Courant
 number of a lone shock and changes every number.
 
 run_godunov's loop only advances cells: each step writes its cells into
-one row of a short history buffer. Once per chunk of steps, one array
-pass over the rows checks every step's CFL bound against the hull of its
-starting cells and books the per-step entropy production and the mass
-drift. No step reads these numbers, so they can come from the stored
-rows after the fact. The check is sound when deferred: the first
-offending step raises the same CFLError that an immediate check would,
-before run_godunov returns, so a violating run yields no result. A
-correct run never trips it: the scheme is monotone under the CFL bound
-(Crandall & Majda, Math. Comp. 34, 1980), so the cells stay in the
-data's hull, and cfl_dt bounds the whole band. godunov_step checks its
-one step at once.
+one row of a short history buffer, and the time the steps aim at (the
+next snapshot time or t_end) is recomputed only when a step reaches it.
+Once per chunk of steps, one array pass over the rows checks every
+step's CFL bound against the hull of its starting cells and books the
+per-step entropy production and the mass drift. No step reads these
+numbers, so they can come from the stored rows after the fact. The
+check is sound when deferred: the first offending step raises the same
+CFLError that an immediate check would, before run_godunov returns, so
+a violating run yields no result. A correct run never trips it: the
+scheme is monotone under the CFL bound (Crandall & Majda, Math. Comp.
+34, 1980), so the cells stay in the data's hull, and cfl_dt bounds the
+whole band. godunov_step checks its one step at once.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import numpy as np
 from .compare import fitted_order, l1_steps, observed_orders, step_data, step_primitive
 from .entropy import _as_pair, quadratic_pair
 from .errors import CFLError, FluxRangeError, check_finite
-from .fluxes import ConvexFlux, _check_band, inverse_derivative
+from .fluxes import ConvexFlux, _check_band
 
 
 @dataclass(frozen=True)
@@ -126,17 +130,6 @@ class Grid1D:
         return self.edges, _padded(self)
 
 
-def _sonic_state(flux: ConvexFlux) -> float:
-    R = flux.domain_radius
-    lo = float(flux.df(-R))
-    hi = float(flux.df(R))
-    if lo >= 0.0:
-        return -R
-    if hi <= 0.0:
-        return R
-    return float(inverse_derivative(flux, 0.0))
-
-
 def interface_state(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
     """State whose flux is the Godunov interface flux (vectorized).
 
@@ -148,7 +141,7 @@ def interface_state(flux: ConvexFlux, u_left, u_right) -> np.ndarray:
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
     return _interface_states(
-        ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), _sonic_state(flux)
+        ul, ur, np.asarray(flux.f(ul)), np.asarray(flux.f(ur)), flux.sonic_state
     )
 
 
@@ -212,8 +205,7 @@ def godunov_step(grid: Grid1D, flux: ConvexFlux, dt: float | None = None) -> Gri
         raise FluxRangeError(f"dt must be finite and nonnegative, got dt = {dt}")
     _check_cfl(flux, grid.u[None, :], np.array([dt]), grid.dx, grid.nu)
     u = np.empty(grid.n_cells)
-    u_s = _sonic_state(flux)
-    _update(_padded(grid), u, dt, grid.dx, flux.f, u_s, float(np.asarray(flux.f(u_s))))
+    _update(_padded(grid), u, dt, grid.dx, flux.f, flux.sonic_state)
     return replace(grid, time=grid.time + dt, u=u)
 
 
@@ -221,19 +213,34 @@ def _padded(grid: Grid1D) -> np.ndarray:
     return np.concatenate(([grid.tail_left], grid.u, [grid.tail_right]))
 
 
+def _kernel_work(n_cells: int) -> tuple:
+    """Scratch arrays of _update for n_cells cells, with the views it
+    writes through: the (2, n + 2) array lr and its rows, the n + 1
+    interface fluxes F and their right and left ends, and the n flux
+    differences d. A caller stepping many times makes them once."""
+    lr, F, d = np.empty((2, n_cells + 2)), np.empty(n_cells + 1), np.empty(n_cells)
+    return lr, lr[0], lr[1], F, F[1:], F[:-1], d
+
+
 def _update(
-    padded: np.ndarray, out: np.ndarray, dt: float, dx: float, f, u_s: float, f_s: float
+    padded: np.ndarray, out: np.ndarray, dt: float, dx: float, f, u_s: float, work=None
 ):
     """The step kernel: write the cells padded[1:-1] advanced by dt to out.
 
-    The ends of padded hold the tails, and f_s is f(u_s). f is evaluated
-    once, on the cells: the interface flux is the max rule
-    max(f(max(u_L, u_s)), f(min(u_R, u_s))) of the module docstring.
+    The ends of padded hold the tails. The interface flux is the max rule
+    max(f(max(u_L, u_s)), f(min(u_R, u_s))) of the module docstring: the
+    rows of lr hold max(padded, u_s) and min(padded, u_s), and f is
+    evaluated once, on both rows. work is _kernel_work(n), made here when
+    not passed; apart from f, no call allocates.
     """
-    f_cells = np.asarray(f(padded))
-    up = padded > u_s
-    F = np.maximum(np.where(up[:-1], f_cells[:-1], f_s), np.where(up[1:], f_s, f_cells[1:]))
-    np.subtract(padded[1:-1], (dt / dx) * (F[1:] - F[:-1]), out=out)
+    lr, lr_max, lr_min, F, F_right, F_left, d = work or _kernel_work(out.size)
+    np.maximum(padded, u_s, out=lr_max)
+    np.minimum(padded, u_s, out=lr_min)
+    g = f(lr)
+    np.maximum(g[0, :-1], g[1, 1:], out=F)
+    np.subtract(F_right, F_left, out=d)
+    np.multiply(d, dt / dx, out=d)
+    np.subtract(padded[1:-1], d, out=out)
 
 
 def cell_averages_from_step(xs, us, edges: np.ndarray) -> np.ndarray:
@@ -274,7 +281,7 @@ def numerical_ep(grids, flux: ConvexFlux, pair=None) -> np.ndarray:
         np.array([g.dx for g in before], dtype=float),
         flux,
         pair,
-        _sonic_state(flux),
+        flux.sonic_state,
     )
 
 
@@ -300,9 +307,10 @@ def _chunk_steps(n_cells: int) -> int:
     """Steps per chunk of run_godunov: its history buffer holds at most
     131072 cells (1 MiB), and at most 64 steps share one pass.
 
-    A chunk's pass makes about 60 numpy calls whatever its size, so too
-    few steps per chunk pay that cost too often, and a buffer far past
-    the CPU's cache slows every pass over the rows.
+    A step makes six numpy calls besides f; a chunk's pass makes about 55
+    (burgers) to 70 (poly4) whatever its size, so too few steps per chunk
+    pay that cost too often, and a buffer far past the CPU's cache slows
+    every pass over the rows.
     """
     return max(1, min(64, 131072 // n_cells))
 
@@ -319,8 +327,9 @@ def run_godunov(
     """Evolve step data to t_end on a padded grid, recording production.
 
     Snapshots are emitted at the first step reaching each requested time
-    (the step is shortened to land exactly on it, CFL still honored). A
-    state outside the flux band, NaN included, raises FluxRangeError, and
+    (the step is shortened to land exactly on it, CFL still honored), one
+    per requested time: a time up to 1e-12 past t_end gets the final grid.
+    A state outside the flux band, NaN included, raises FluxRangeError, and
     so does any other illegal step data (compare.step_data).
     """
     if not 0.0 <= t_end < np.inf:
@@ -352,6 +361,7 @@ def run_godunov(
     for t in wanted:
         if not 0.0 <= t <= t_end + 1e-12:
             raise FluxRangeError(f"snapshot time {t} outside [0, {t_end}]")
+    wanted.append(np.inf)  # past the last snapshot time
     mass0 = grid.mass
     # With tail ghosts, mass changes by exactly the net boundary flux.
     net_influx = float(np.asarray(flux.f(us[0]))) - float(np.asarray(flux.f(us[-1])))
@@ -360,15 +370,14 @@ def run_godunov(
     eps = []
     snaps = []
     w_idx = 0
-    while w_idx < len(wanted) and wanted[w_idx] <= 0.0:
+    while wanted[w_idx] <= 0.0:
         snaps.append(grid)
         w_idx += 1
     # Per-run invariants: the grid's dx and nu never change, nor the flux.
     dx = grid.dx
     dt_cfl = cfl_dt(grid, flux)
     f = flux.f
-    u_s = _sonic_state(flux)
-    f_s = float(np.asarray(f(u_s)))
+    u_s = flux.sonic_state
     pair = quadratic_pair(flux)
     # Step i of a chunk reads row i of hist and writes row i + 1; the end
     # columns hold the tails. After each chunk one pass over the rows checks
@@ -376,25 +385,29 @@ def run_godunov(
     chunk = _chunk_steps(n_cells)
     hist = np.tile(_padded(grid), (chunk + 1, 1))
     rows = [(hist[k], hist[k + 1, 1:-1]) for k in range(chunk)]
-    dts = np.empty(chunk)
+    work = _kernel_work(n_cells)
     time = 0.0
+    # The step lands on target, the next snapshot time or t_end; it changes
+    # only once the run reaches it.
+    target = min(t_end, wanted[w_idx])
     while time < t_end - 1e-14:
-        k = 0
-        while k < chunk and time < t_end - 1e-14:
-            target = t_end
-            if w_idx < len(wanted):
-                target = min(target, wanted[w_idx])
+        dts = []  # the CFL check reads dt, the EP the step's time difference
+        for padded, out in rows:
             dt = min(dt_cfl, target - time)
-            _update(*rows[k], dt, dx, f, u_s, f_s)
-            dts[k] = dt  # the CFL check reads dt, the EP the step's time difference
+            _update(padded, out, dt, dx, f, u_s, work)
+            dts.append(dt)
             time = time + dt
             times.append(time)
-            k += 1
-            while w_idx < len(wanted) and time >= wanted[w_idx] - 1e-14:
-                snaps.append(replace(grid0, time=time, u=hist[k, 1:-1].copy()))
-                w_idx += 1
+            if time >= target - 1e-14:
+                while time >= wanted[w_idx] - 1e-14:
+                    snaps.append(replace(grid0, time=time, u=out.copy()))
+                    w_idx += 1
+                target = min(t_end, wanted[w_idx])
+                if time >= t_end - 1e-14:
+                    break
+        k = len(dts)
         cells = hist[: k + 1, 1:-1]
-        _check_cfl(flux, cells[:-1], dts[:k], dx, nu)
+        _check_cfl(flux, cells[:-1], np.array(dts), dx, nu)
         t_rows = np.asarray(times[-k - 1 :])
         eps.append(_step_ledger(hist[: k + 1], np.diff(t_rows), dx, flux, pair, u_s))
         mass = cells[1:].sum(axis=1) * dx
@@ -402,6 +415,9 @@ def run_godunov(
         hist[0] = hist[k]
     if eps:
         grid = replace(grid0, time=time, u=hist[0, 1:-1].copy())
+    # Times that no step reached lie past the last one by at most 1e-12
+    # (when t_end is 0, no step runs): they get the final grid.
+    snaps += [grid] * (len(wanted) - 1 - w_idx)
     return GodunovRun(
         flux_name=flux.name,
         grid0=grid0,

@@ -612,3 +612,71 @@ def test_run_matches_reference_for_a_shifted_sonic_state(n_cells, snaps):
     assert_matches_reference(
         run, reference_run(fl, SHIFTED_XS, SHIFTED_US, t_end, n_cells, snaps)
     )
+
+
+def test_snapshot_times_past_the_last_step_get_the_final_grid():
+    # Times up to 1e-12 past t_end are accepted; those past t_end + 1e-14
+    # (or past 0 when t_end is 0) used to be dropped without an error.
+    fl = make_flux("burgers", domain_radius=1.5)
+    xs, us = [-0.5, 0.5], [0.0, 1.0, 0.0]
+    run = run_godunov(fl, xs, us, 1.0, 50, snapshot_times=(0.5, 1.0 + 5e-13))
+    assert len(run.snapshots) == 2
+    assert run.snapshots[0].time == pytest.approx(0.5, abs=1e-13)
+    assert run.snapshots[1].time == run.grid.time
+    assert run.snapshots[1].u.tobytes() == run.grid.u.tobytes()
+    run = run_godunov(fl, xs, us, 0.0, 50, snapshot_times=(5e-13, 0.0))
+    assert len(run.snapshots) == 2
+    assert run.step_ep.size == 0
+    for snap in run.snapshots:
+        assert snap.time == 0.0
+        assert snap.u.tobytes() == run.grid.u.tobytes()
+
+
+@pytest.mark.parametrize("name", ["burgers", "cosh", "poly4"])
+def test_step_keeps_signed_zeros_and_subnormals_bit_for_bit(name):
+    # max(u, u_s) and min(u, u_s) of a signed zero or a subnormal cell
+    # must give the reference's interface flux and update to the last bit
+    fl = make_flux(name, domain_radius=1.5)
+    u_s = float(inverse_derivative(fl, 0.0))
+    R = fl.domain_radius
+    pool = np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.3, -0.3, R, -R])
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        tail_left, tail_right = rng.choice(pool, 2)
+        grid = Grid1D(
+            x_min=-1.0, x_max=1.0, n_cells=48, nu=0.9, time=0.0,
+            u=rng.choice(pool, 48), tail_left=float(tail_left), tail_right=float(tail_right),
+        )
+        dt = cfl_dt(grid, fl)
+        got, want = godunov_step(grid, fl, dt), ref_step(grid, fl, dt, u_s)
+        assert got.u.tobytes() == want.u.tobytes()
+
+
+def test_sonic_state_is_computed_once_per_flux_object(monkeypatch):
+    # poly4 has no inv_df, so each computation bisects
+    from clawlab import fluxes
+
+    calls = []
+    real = fluxes.inverse_derivative
+    monkeypatch.setattr(
+        fluxes, "inverse_derivative", lambda fl, slope: calls.append(slope) or real(fl, slope)
+    )
+    fl = make_flux("poly4", domain_radius=1.5)
+    first = run_godunov(fl, CHUNK_XS, CHUNK_US, 0.3, 60)
+    second = run_godunov(fl, CHUNK_XS, CHUNK_US, 0.3, 60)
+    godunov_step(first.grid, fl)
+    interface_state(fl, 0.5, -0.2)
+    numerical_ep([first.grid0, first.grid], fl)
+    assert len(calls) == 1
+    assert np.array_equal(first.grid.u, second.grid.u)
+    assert fl.sonic_state == real(fl, 0.0)
+
+
+def test_a_replaced_flux_computes_its_own_sonic_state():
+    # f' = u - 0.3 is negative on [-R, R] for R < 0.3, so the sonic state
+    # clips to R and differs between radii
+    fl = shifted_quadratic(radius=0.2)
+    assert fl.sonic_state == 0.2
+    wider = replace(fl, domain_radius=0.25)
+    assert wider.sonic_state == 0.25
+    assert fl.sonic_state == 0.2

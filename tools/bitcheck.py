@@ -11,6 +11,11 @@ prints one ``<group> <sha256>`` line per group:
   catalog fluxes and both tracking modes;
 - ``<workload>/<case>/<part>`` for the first --cases cases of each
   workload at --seed, tracked as the workload tracks them;
+- ``godunov/<case>/<cells>``: the final cells, ``step_times``, ``step_ep``
+  and ``mass_drift`` of ``run_godunov`` on the first --cases ``triangle``
+  cases at 50, 100, 200 and 400 cells, to t = 1 as the workload runs
+  them, and ``godunov/<case>/200/snapshots`` for a run that also takes
+  snapshots at t = 0.3 and 0.7;
 - ``cli/<command>/<label>``: exit code, stdout, stderr and every artifact
   of 150 CLI runs on the fixtures and on Riemann data.
 
@@ -185,6 +190,30 @@ def workloads(clawlab, seed: int, n_cases: int) -> None:
             del traj
 
 
+def godunov_run_into(d: Digest, run) -> None:
+    d.value((run.grid.time, run.mass_drift, len(run.snapshots)))
+    for a in (run.grid.u, run.step_times, run.step_ep):
+        d.array(a)
+    for g in run.snapshots:
+        d.value(g.time)
+        d.array(g.u)
+
+
+def godunov_runs(clawlab, seed: int, n_cases: int) -> None:
+    import spans
+    import workloads as wl
+
+    for c in wl.WORKLOADS["triangle"].cases(seed, spans.Tracer(enabled=False))[:n_cases]:
+        for n_cells in wl.TRIANGLE_CELLS:
+            d = Digest()
+            godunov_run_into(d, clawlab.run_godunov(c.flux, c.xs, c.us, 1.0, n_cells))
+            print(f"godunov/{c.index}/{n_cells} {d.hex()}", flush=True)
+        d = Digest()
+        run = clawlab.run_godunov(c.flux, c.xs, c.us, 1.0, 200, snapshot_times=(0.3, 0.7))
+        godunov_run_into(d, run)
+        print(f"godunov/{c.index}/200/snapshots {d.hex()}", flush=True)
+
+
 def cli_runs() -> list[tuple[str, str, dict, list[str]]]:
     """(command, label, config, extra flags) of each CLI run."""
     import clawlab
@@ -255,6 +284,7 @@ def main(argv=None) -> int:
 
     fixtures(clawlab)
     workloads(clawlab, args.seed, args.cases)
+    godunov_runs(clawlab, args.seed, args.cases)
     if not args.no_cli:
         cli()
     return 0
