@@ -14,10 +14,11 @@ policies lives in one place:
 - _verdict prints each (name, ok, detail) check as [PASS] or [FAIL] and
   raises CheckFailure if any missed.
 
-Exit codes: 0 when all checks pass, 2 for configuration problems
-(unparseable config, unknown keys, precondition violations, or any
-other ClawError), 3 when a numerical check fails its declared
-tolerance.
+Exit codes: 0 when all checks pass, 1 when a run runs out of memory
+(one "out of memory: <command>" line on stderr, no traceback), 2 for
+configuration problems (unparseable config, unknown keys, precondition
+violations, or any other ClawError), 3 when a numerical check fails its
+declared tolerance.
 
 All artifacts are deterministic: floats are serialized with repr, JSON
 keys are sorted, and any randomness comes from a seed recorded in the
@@ -818,6 +819,9 @@ def main(argv=None) -> int:
     except ClawError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"out of memory: {args.command}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -276,14 +276,7 @@ def _shocks(fan: WaveFan) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3).T
 
 
-def _as_pair(pair) -> EntropyPair:
-    if isinstance(pair, EntropyPair):
-        return pair
-    eta, xi = pair
-    return EntropyPair("anonymous", eta=eta, xi=xi)
-
-
-def combined_entropy_P(fan: WaveFan, pair) -> float:
+def combined_entropy_P(fan: WaveFan, pair: EntropyPair) -> float:
     """Jump functional P_v = sum over shocks of [xi] - omega [eta].
 
     Brackets are right minus left values at the shock speed omega.
@@ -291,25 +284,23 @@ def combined_entropy_P(fan: WaveFan, pair) -> float:
     minus the sum of jump_ep_rate over the fan's shocks, so the entropic
     fan maximizes dissipation (most negative P) pointwise per jump.
     """
-    p = _as_pair(pair)
     um, up, sigma = _shocks(fan)
-    d_eta = np.asarray(p.eta(up)) - np.asarray(p.eta(um))
-    d_xi = np.asarray(p.xi(up)) - np.asarray(p.xi(um))
+    d_eta = np.asarray(pair.eta(up)) - np.asarray(pair.eta(um))
+    d_xi = np.asarray(pair.xi(up)) - np.asarray(pair.xi(um))
     return _left_sum(d_xi - sigma * d_eta)
 
 
-def entropy_rate_Hdot(fan: WaveFan, pair) -> float:
+def entropy_rate_Hdot(fan: WaveFan, pair: EntropyPair) -> float:
     """Growth rate of the total entropy integral for the self-similar fan.
 
     Hdot = P + xi(u_l) - xi(u_r): the jump production plus the boundary
     flux imbalance of the far states. Ranks fans identically to P since
     the boundary term depends only on the shared data.
     """
-    p = _as_pair(pair)
     return (
-        combined_entropy_P(fan, p)
-        + float(np.asarray(p.xi(fan.left_state)))
-        - float(np.asarray(p.xi(fan.right_state)))
+        combined_entropy_P(fan, pair)
+        + float(np.asarray(pair.xi(fan.left_state)))
+        - float(np.asarray(pair.xi(fan.right_state)))
     )
 
 

@@ -70,19 +70,14 @@ _CHECKPOINT_EVENTS = 16
 
 
 def _front_ids(ids) -> np.ndarray:
-    """ids as an int32 array, the same array if it is one already.
+    """ids (an array or any sequence) as an int32 array, the same array if
+    it is one already.
 
-    An id outside the int32 range raises InvariantViolation naming it, so
-    no id wraps on the way in.
+    Any other ids are range-checked as an array: an id outside the int32
+    range raises InvariantViolation naming it, so no id wraps on the way in.
     """
     if isinstance(ids, np.ndarray) and ids.dtype is _ID_DTYPE:
         return ids
-    # a short list of Python ints, as a splice merges them, is checked in
-    # Python: a numpy range check costs more than the conversion
-    if type(ids) is list and set(map(type, ids)) <= {int} and (
-        not ids or _ID_RANGE.min <= min(ids) and max(ids) <= _ID_RANGE.max
-    ):
-        return np.array(ids, dtype=_ID_DTYPE)
     arr = np.asarray(ids)
     inside = (arr >= _ID_RANGE.min) & (arr <= _ID_RANGE.max)  # NaN is outside
     if not np.all(inside):
@@ -423,12 +418,10 @@ def _table_runs(snaps: list[FrontState], k0: int):
     Returns the first and last segment, the table, the row and the position
     in its first segment of each row, in order of first segment, then left
     to right. In snapshots ordered in time a row sits in consecutive ones:
-    the tracker emits a front once and replaces it once.
+    the tracker emits a front once and replaces it once. One pass serves
+    any number of snapshots, a spliced composite's one-snapshot table too.
     """
     table = snaps[0].table
-    if len(snaps) == 1:
-        k = np.full(snaps[0].n_fronts, k0)
-        return k, k, table, snaps[0].rows, snaps[0].positions
     first = np.full(table.size, -1)
     last = np.empty(table.size, dtype=np.intp)
     slot = np.empty(table.size, dtype=np.intp)  # left-to-right place in the first snapshot

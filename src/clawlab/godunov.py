@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compare import fitted_order, l1_steps, observed_orders, step_data, step_primitive
-from .entropy import _as_pair, quadratic_pair
+from .entropy import quadratic_pair
 from .errors import CFLError, FluxRangeError, check_finite
 from .fluxes import ConvexFlux, _check_band
 
@@ -265,22 +265,21 @@ class GodunovRun:
     snapshots: tuple[Grid1D, ...]
 
 
-def numerical_ep(grids, flux: ConvexFlux, pair=None) -> np.ndarray:
-    """Signed per-step entropy production of a grid sequence.
+def numerical_ep(grids, flux: ConvexFlux) -> np.ndarray:
+    """Signed per-step quadratic entropy production of a grid sequence.
 
     For each consecutive pair, sum of [eta(u_new) - eta(u_old)] dx plus
     dt times the telescoped numerical entropy flux difference at the two
     outer interfaces (zero ghosts). Nonpositive for every Godunov step;
     for a lone entropic shock it approaches -D dt.
     """
-    pair = quadratic_pair(flux) if pair is None else _as_pair(pair)
     before, after = grids[:-1], grids[1:]
     return _step_ledger(
         np.stack([_padded(g) for g in grids]),
         np.array([b.time - a.time for a, b in zip(before, after)], dtype=float),
         np.array([g.dx for g in before], dtype=float),
         flux,
-        pair,
+        quadratic_pair(flux),
         flux.sonic_state,
     )
 

@@ -32,6 +32,9 @@ RAREFACTION = "rarefaction"
 ENTROPIC_SHOCK = "entropic_shock"
 
 _SPEED_TOL = 1e-12
+# validate_fan's bound on state-chain gaps and on shock and rarefaction
+# speeds that miss the flux (shock speeds relative to the chord's size)
+_FAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ class WaveFan:
     entropic_flag: str  # "entropic" | "non-entropic"
 
 
-def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
+def validate_fan(fan: WaveFan) -> None:
     """Structural audit: state chaining, RH speeds, support ordering.
 
     Raises FanOrderingError naming the offending adjacent speeds when wave
@@ -111,13 +114,13 @@ def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
     prev_hi = -np.inf
     prev_support: tuple[float, float] | None = None
     for w in fan.waves:
-        if abs(w.left_value - state) > tol:
+        if abs(w.left_value - state) > _FAN_TOL:
             raise FanOrderingError(
                 f"state chain breaks: wave starts at {w.left_value}, expected {state}"
             )
         if isinstance(w, Shock):
             rh = chord_slope(flux, w.u_minus, w.u_plus)
-            if abs(rh - w.sigma) > tol * max(1.0, abs(rh)):
+            if abs(rh - w.sigma) > _FAN_TOL * max(1.0, abs(rh)):
                 raise FluxRangeError(
                     f"shock speed {w.sigma} violates the chord slope {rh}"
                 )
@@ -128,7 +131,7 @@ def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
                 )
             lo = float(flux.df(w.u_lo))
             hi = float(flux.df(w.u_hi))
-            if abs(lo - w.omega_lo) > tol or abs(hi - w.omega_hi) > tol:
+            if abs(lo - w.omega_lo) > _FAN_TOL or abs(hi - w.omega_hi) > _FAN_TOL:
                 raise FluxRangeError(
                     f"rarefaction support ({w.omega_lo}, {w.omega_hi}) is not "
                     f"(f'(u_lo), f'(u_hi)) = ({lo}, {hi})"
@@ -141,7 +144,7 @@ def validate_fan(fan: WaveFan, tol: float = 1e-10) -> None:
         prev_hi = hi
         prev_support = (lo, hi)
         state = w.right_value
-    if abs(state - fan.right_state) > tol:
+    if abs(state - fan.right_state) > _FAN_TOL:
         raise FanOrderingError(
             f"state chain ends at {state}, expected right state {fan.right_state}"
         )

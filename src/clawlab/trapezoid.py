@@ -245,68 +245,62 @@ def _merge_states(
     id_offset: int,
     flux: ConvexFlux,
 ) -> FrontState:
-    """Composite snapshot: original outside Gamma's section, re-solve inside."""
+    """Composite snapshot at t_emit: orig outside Gamma's section at t_ref, res inside.
+
+    Reads each snapshot once, as rows of its front table. orig's fronts left
+    of the section (a prefix), res's inside it (a contiguous run) and orig's
+    right of it (a suffix) give the composite's columns; res's ids get
+    id_offset in int64, so an id past the int32 range is refused by name,
+    not wrapped. Seam states more than 1e-9 apart raise InvariantViolation;
+    zero-width jumps left by seam rounding are dropped.
+    """
     bl = float(dom.theta_minus(t_ref))
     br = float(dom.theta_plus(t_ref))
-    # one read of each field, each read going through the front table
-    o_states, r_states = orig.states, res.states
-    o = (orig.time, orig.positions, orig.speeds, np.array(orig.kinds, object), orig.front_ids)
-    r = (res.time, res.positions, res.speeds, np.array(res.kinds, object), res.front_ids)
-
-    def moved(base, t: float) -> np.ndarray:
-        time, pos, speeds = base[:3]
-        return pos + (t - time) * speeds
-
-    xo, xr = moved(o, t_ref), moved(r, t_ref)
-    left_sel = xo < bl
-    right_sel = xo > br
-    mid_sel = (xr > bl) & (xr < br)
-
-    def emit(base, sel, offset: int):
-        kinds, ids = base[3:]
-        return (
-            list(moved(base, t_emit)[sel]),
-            kinds[sel],
-            [i + offset for i in ids[sel].tolist()],
-        )
-
-    pos_l, kinds_l, ids_l = emit(o, left_sel, 0)
-    pos_m, kinds_m, ids_m = emit(r, mid_sel, id_offset)
-    pos_r, kinds_r, ids_r = emit(o, right_sel, 0)
-
-    states_l = list(o_states[: int(np.sum(left_sel)) + 1])
-    mid_idx = np.where(mid_sel)[0]
-    if mid_idx.size:
-        states_m = list(r_states[mid_idx[0] : mid_idx[-1] + 2])
+    o_rows, r_rows = orig.rows, res.rows
+    o_speeds, r_speeds = orig.table.speed.take(o_rows), res.table.speed.take(r_rows)
+    xo = orig.positions + (t_ref - orig.time) * o_speeds
+    xr = res.positions + (t_ref - res.time) * r_speeds
+    # orig's fronts [0, a) lie left of the section and [b, m) right of it,
+    # res's fronts [lo, hi) inside it
+    m = len(o_rows)
+    a = int(np.count_nonzero(xo < bl))
+    b = m - int(np.count_nonzero(xo > br))
+    inside = np.flatnonzero((xr > bl) & (xr < br))
+    o_states = np.concatenate(([orig.left_state], orig.table.u_plus.take(o_rows)))
+    r_states = np.concatenate(([res.left_state], res.table.u_plus.take(r_rows)))
+    if inside.size:
+        lo, hi = int(inside[0]), int(inside[-1]) + 1
+        r_first, r_last = r_states[lo], r_states[hi]
     else:
-        states_m = [float(res.value_at(0.5 * (bl + br)))]
-    n_right = int(np.sum(right_sel))
-    states_r = list(o_states[len(o_states) - n_right - 1 :])
-
-    for seam, a, b in (("left", states_l[-1], states_m[0]), ("right", states_m[-1], states_r[0])):
-        if abs(a - b) > 1e-9:
+        lo = hi = 0
+        r_first = r_last = float(res.value_at(0.5 * (bl + br)))
+    for seam, u_l, u_r in (("left", o_states[a], r_first), ("right", r_last, o_states[b])):
+        if abs(u_l - u_r) > 1e-9:
             raise InvariantViolation(
                 f"splice seam mismatch on the {seam} edge at t={t_ref}: "
-                f"{a} vs {b}"
+                f"{u_l} vs {u_r}"
             )
-    positions = pos_l + pos_m + pos_r
-    states = states_l + states_m[1:] + states_r[1:]
-    kinds = np.concatenate((kinds_l, kinds_m, kinds_r))
-    ids = ids_l + ids_m + ids_r
+    # the composite's fronts, as places in orig's fronts followed by res's
+    pick = np.concatenate((np.arange(a), np.arange(m + lo, m + hi), np.arange(b, m)))
+    positions = np.concatenate((
+        orig.positions + (t_emit - orig.time) * o_speeds,
+        res.positions + (t_emit - res.time) * r_speeds,
+    ))[pick]
+    u_plus = np.concatenate((o_states[1:], r_states[1:]))[pick]
+    kinds = np.concatenate((orig.table.kind.take(o_rows), res.table.kind.take(r_rows)))[pick]
+    ids = np.concatenate((
+        orig.table.id.take(o_rows),
+        res.table.id.take(r_rows).astype(np.int64) + id_offset,
+    ))[pick]
     # Drop zero-width jumps introduced by seam rounding.
-    keep_pos, keep_states, keep, keep_ids = [], [states[0]], [], []
-    for j in range(len(positions)):
-        if states[j + 1] == keep_states[-1]:
-            continue
-        x = positions[j]
+    keep = np.flatnonzero(u_plus != np.concatenate(([orig.left_state], u_plus[:-1])))
+    pos = positions[keep].tolist()
+    for j in range(1, len(pos)):
         # propagating to t_ref and back to t_emit can lose an ulp
-        if keep_pos and 0.0 < keep_pos[-1] - x <= 1e-9:
-            x = keep_pos[-1]
-        keep_pos.append(x)
-        keep_states.append(states[j + 1])
-        keep.append(j)
-        keep_ids.append(ids[j])
-    return front_state(flux, t_emit, keep_pos, keep_states, kinds[keep], keep_ids)
+        if 0.0 < pos[j - 1] - pos[j] <= 1e-9:
+            pos[j] = pos[j - 1]
+    states = np.concatenate(([orig.left_state], u_plus[keep]))
+    return front_state(flux, t_emit, pos, states, kinds[keep], ids[keep])
 
 
 def trapezoid_splice(

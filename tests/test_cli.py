@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clawlab import cli
 from clawlab.cli import main
 
 
@@ -353,6 +354,18 @@ def test_splice_reduces_ep_and_stays_weak(tmp_path):
     assert summary["weak_residual"] <= 1e-7
     assert (out / "trajectory.jsonl").exists()
     assert (out / "fronts.csv").exists()
+
+
+def test_out_of_memory_exits_1_with_one_line_and_no_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "evolve", exhausted)
+    cfg = write_cfg(tmp_path, "c.json", {"initial": {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}})
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "out of memory: evolve\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_splice_domain_validation(tmp_path):

@@ -5,11 +5,13 @@ import pytest
 
 from clawlab import (
     ClawError,
+    InvariantViolation,
     TangencyError,
     TrapezoidDomain,
     Window,
     burgers_flux,
     evolve,
+    front_state,
     lambda0,
     state_from_data,
     total_ep,
@@ -192,6 +194,19 @@ def test_splice_handles_laterally_entering_expansion_shock():
     edge = float(dom.theta_minus(t_probe))
     xs_out = np.linspace(edge - 0.6, edge - 0.01, 50)
     assert np.array_equal(spliced.sample(t_probe, xs_out), traj.sample(t_probe, xs_out))
+
+
+def test_splice_refuses_composite_ids_past_the_int32_limit():
+    """The expansion shock's id 2**31 - 10 puts the re-solve's id offset at
+    2**31 - 9, and its staircase has 20 fragments, ids 0 to 19: composite
+    ids pass 2**31 - 1, and the splice refuses them by name, not wrapped."""
+    fl = burgers_flux()
+    state = front_state(fl, 0.0, [0.0], [0.0, 1.0], front_ids=[2**31 - 10])
+    traj = evolve(state, fl, 1.0, mode="as_given")
+    assert traj.snapshots[-1].front_ids.tolist() == [2**31 - 10]
+    dom = TrapezoidDomain(t1=0.25, t2=1.0, delta=0.3, lambda_hat=0.24)
+    with pytest.raises(InvariantViolation, match="outside the int32 range"):
+        trapezoid_splice(traj, dom, rarefaction_step=0.05)
 
 
 def test_splice_keeps_kinds_admissible_inside_and_verbatim_outside():

@@ -11,6 +11,10 @@ prints one ``<group> <sha256>`` line per group:
   catalog fluxes and both tracking modes;
 - ``<workload>/<case>/<part>`` for the first --cases cases of each
   workload at --seed, tracked as the workload tracks them;
+- ``splice-seam/<case>``: the splice of seed-1 ``splice`` cases 22, 40, 44
+  and 66, which raises ``InvariantViolation`` where the re-solve meets the
+  original, whatever --seed and --cases say, so every run digests the
+  error path of a splice;
 - ``godunov/<case>/<cells>``: the final cells, ``step_times``, ``step_ep``
   and ``mass_drift`` of ``run_godunov`` on the first --cases ``triangle``
   cases at 50, 100, 200 and 400 cells, to t = 1 as the workload runs
@@ -50,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FLUXES = ("burgers", "cosh", "poly4")
 MODES = ("entropic", "as_given")
 STATE_AT_POINTS = 13
+SEAM_CASES = (22, 40, 44, 66)  # seed-1 splice cases whose splice raises
 
 
 class Digest:
@@ -182,12 +187,29 @@ def workloads(clawlab, seed: int, n_cases: int) -> None:
             traj = clawlab.evolve(state, c.flux, 1.0, mode=mode, rarefaction_step=step)
             parts = trajectory_parts(clawlab, traj)
             if name == "splice":
-                t1, t2, delta = wl.SPLICE_DOMAIN
-                lam = 0.9 * clawlab.lambda0(c.flux, 1.0)
-                dom = clawlab.TrapezoidDomain(t1, t2, delta, lam)
-                parts["splice"] = splice_part(clawlab, traj, dom)
+                parts["splice"] = splice_part(clawlab, traj, splice_domain(clawlab, c.flux))
             emit(f"{name}/{c.index}", parts)
             del traj
+
+
+def splice_domain(clawlab, flux):
+    import workloads as wl
+
+    t1, t2, delta = wl.SPLICE_DOMAIN
+    return clawlab.TrapezoidDomain(t1, t2, delta, 0.9 * clawlab.lambda0(flux, 1.0))
+
+
+def seam_failures(clawlab) -> None:
+    import spans
+    import workloads as wl
+
+    cases = wl.WORKLOADS["splice"].cases(1, spans.Tracer(enabled=False))
+    for c in (cases[i] for i in SEAM_CASES):
+        state = clawlab.state_from_data(c.flux, c.xs, c.us)
+        traj = clawlab.evolve(state, c.flux, 1.0, mode="as_given",
+                              rarefaction_step=wl.SPLICE_DELTA_U)
+        print(f"splice-seam/{c.index} {splice_part(clawlab, traj, splice_domain(clawlab, c.flux))}",
+              flush=True)
 
 
 def godunov_run_into(d: Digest, run) -> None:
@@ -284,6 +306,7 @@ def main(argv=None) -> int:
 
     fixtures(clawlab)
     workloads(clawlab, args.seed, args.cases)
+    seam_failures(clawlab)
     godunov_runs(clawlab, args.seed, args.cases)
     if not args.no_cli:
         cli()
