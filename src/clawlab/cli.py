@@ -672,9 +672,11 @@ def cmd_splice(cfg: dict) -> int:
             raise ConfigError(f"splice domain needs '{key}'")
     cfg.setdefault("mode", "as_given")
     flux, traj, mode, step, t_end = _evolved(cfg)
-    sup = max(float(np.max(np.abs(s.states))) for s in traj.snapshots)
-    lam_default = 0.9 * lambda0(flux, sup)
-    lam = float(dom_cfg.get("lambda_hat", lam_default))
+    if "lambda_hat" in dom_cfg:
+        lam = float(dom_cfg["lambda_hat"])
+    else:
+        sup = max(float(np.max(np.abs(s.states))) for s in traj.snapshots)
+        lam = 0.9 * lambda0(flux, sup)
     dom = TrapezoidDomain(
         t1=float(dom_cfg["t1"]),
         t2=float(dom_cfg["t2"]),

@@ -13,7 +13,9 @@ Gamma is determined by its trace on Lambda alone.
 
 trace_on_lambda intersects a trajectory's front lifetimes with Lambda
 and records each crossing as a breakpoint of a step function in the
-boundary parameter s (the x-coordinate of the boundary point).
+boundary parameter s (the x-coordinate of the boundary point). The trace
+values come from the crossings: Lambda meets no front between two of
+them, so each piece holds the state its left crossing hands on.
 trapezoid_splice then rebuilds the solution inside Gamma from that trace
 alone: the flat part of the trace seeds an entropic re-solve at t1, and
 each lateral breakpoint becomes a timed uncover event injecting the newly
@@ -78,10 +80,6 @@ class TrapezoidDomain(_Domain):
     @property
     def s_max(self) -> float:
         return float(self.theta_plus(self.t2))
-
-    @property
-    def s_min(self) -> float:
-        return -self.s_max
 
     def boundary_time(self, s: float) -> float:
         """Time at which the lateral boundary passes the x-coordinate s."""
@@ -158,6 +156,8 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
     intersected with the two lateral edge lines of dom.edges. Tangent fronts (speed within
     1e-10 of the edge slope) raise TangencyError, crossings within 1e-9 of
     a corner raise ClawError, and t1 must not coincide with an event time.
+    Piece values come from the crossings; a crossing whose u_after is not
+    the next one's u_before raises InvariantViolation.
     """
     if traj.t_start > dom.t1 or traj.t_end < dom.t2 - 1e-12:
         raise FluxRangeError(
@@ -197,10 +197,11 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
         hi_t = min(t_d, dom.t2)
         if hi_t <= lo_t:
             continue
-        if min(abs(sigma - q) for _, q in edges) <= _TANGENT_TOL:
-            raise TangencyError(
-                f"front {fid} speed {sigma} is tangent to the lateral boundary slope {edges[1][1]}"
-            )
+        for _, q in edges:
+            if abs(sigma - q) <= _TANGENT_TOL:
+                raise TangencyError(
+                    f"front {fid} speed {sigma} is tangent to the lateral boundary slope {q}"
+                )
         for (p, q), side in zip(edges, ("left", "right")):
             t_star = (p - x_b + sigma * t_b) / (sigma - q)
             if not (lo_t < t_star <= hi_t):
@@ -223,16 +224,14 @@ def trace_on_lambda(traj: Trajectory, dom: TrapezoidDomain) -> LambdaTrace:
     s_breaks = np.array([c.s for c in crossings])
     if s_breaks.size > 1 and float(np.min(np.diff(s_breaks))) <= 1e-12:
         raise ClawError("two boundary crossings coincide; adjust the window")
-    values = []
-    if s_breaks.size:
-        eval_pts = [0.5 * (dom.s_min + s_breaks[0])]
-        eval_pts += list(0.5 * (s_breaks[:-1] + s_breaks[1:]))
-        eval_pts += [0.5 * (s_breaks[-1] + dom.s_max)]
-    else:
-        eval_pts = [0.0]
-    for s in eval_pts:
-        t_on = min(dom.boundary_time(float(s)), dom.t2 - 1e-13)
-        values.append(float(traj.state_at(t_on).value_at(float(s))))
+    for c, nxt in zip(crossings, crossings[1:]):
+        if c.u_after != nxt.u_before:
+            raise InvariantViolation(
+                f"boundary crossings at s={c.s} and s={nxt.s} do not chain: "
+                f"{c.u_after} vs {nxt.u_before}"
+            )
+    first = crossings[0].u_before if crossings else float(flat.value_at(0.0))
+    values = [first] + [c.u_after for c in crossings]
     return LambdaTrace(dom, s_breaks, np.asarray(values), crossings)
 
 
@@ -340,9 +339,8 @@ def trapezoid_splice(
     uncovers = []
     for c in lateral:
         t_u = dom.boundary_time(c.s)
-        side = "left" if c.s < 0 else "right"
-        new_value = c.u_before if side == "left" else c.u_after
-        uncovers.append((t_u, c.s, side, new_value))
+        new_value = c.u_before if c.side == "left" else c.u_after
+        uncovers.append((t_u, c.s, c.side, new_value))
 
     resolved = _track(flux, seed, dom.t2, "entropic", rarefaction_step, uncovers)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_finite, check_positive
+from .errors import FluxRangeError, check_finite, check_positive
 from .quadrature import leggauss
 from .fronts import Lifetimes
 from .riemann import Rarefaction, WaveFan, evaluate_fan, fan_breakpoints
@@ -170,6 +170,11 @@ def bump_battery(
 
 
 def default_battery_for(traj) -> list[BumpTest]:
+    if traj.t_end <= traj.t_start:
+        raise FluxRangeError(
+            "the weak-form battery needs a trajectory spanning positive time, "
+            f"got [{traj.t_start}, {traj.t_end}]"
+        )
     lo, hi = traj.support_bbox()
     pad = max(1.0, 0.2 * (hi - lo))
     return bump_battery(lo - pad, hi + pad, traj.t_start, traj.t_end)

@@ -289,6 +289,16 @@ def test_evolve_rejects_non_weak_expansion_hold(tmp_path):
     assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_evolve_over_zero_time_exits_2_naming_the_span(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, "c.json", {"initial": {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}, "t_end": 0.0}
+    )
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "spanning positive time, got [0.0, 0.0]" in err
+    assert "bt" not in err
+
+
 def test_econd_expectation_semantics(tmp_path):
     ent = write_cfg(
         tmp_path,

@@ -7,12 +7,14 @@ from clawlab import (
     ClawError,
     InvariantViolation,
     TangencyError,
+    Trajectory,
     TrapezoidDomain,
     Window,
     burgers_flux,
     evolve,
     front_state,
     lambda0,
+    make_flux,
     state_from_data,
     total_ep,
     trace_on_lambda,
@@ -121,6 +123,52 @@ def test_trace_rejects_tangent_front():
     traj = evolve(state_from_data(fl, [0.0], [2.5, 1.5]), fl, 1.5)  # sigma = 2
     dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=0.2, lambda_hat=0.5)
     with pytest.raises(TangencyError):
+        trace_on_lambda(traj, dom)
+
+
+@pytest.mark.parametrize(
+    "us, slope", [([2.5, 1.5], "2.0"), ([-1.5, -2.5], "-2.0")], ids=["right", "left"]
+)
+def test_tangency_error_names_the_slope_of_the_tangent_edge(us, slope):
+    fl = burgers_flux(3.0)
+    traj = evolve(state_from_data(fl, [0.0], us), fl, 1.5)  # sigma = +-2
+    dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=0.2, lambda_hat=0.5)
+    with pytest.raises(TangencyError, match=f"boundary slope {slope}$"):
+        trace_on_lambda(traj, dom)
+
+
+def test_trace_values_match_the_trajectory_between_crossings():
+    # the reference reads the trajectory at every piece midpoint on Lambda
+    rng = np.random.default_rng(34)
+    for name in ("burgers", "cosh", "poly4"):
+        fl = make_flux(name, domain_radius=1.5)
+        dom = TrapezoidDomain(0.2, 0.8, 0.5, 0.9 * lambda0(fl, 1.0))
+        for _ in range(15):
+            n = int(rng.integers(2, 7))
+            xs = np.sort(rng.uniform(-1.0, 1.0, n))
+            us = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, n - 1), [0.0]))
+            traj = evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given",
+                          rarefaction_step=0.05)
+            trace = trace_on_lambda(traj, dom)
+            ends = np.concatenate(([-dom.s_max], trace.s_breaks, [dom.s_max]))
+            mids = 0.5 * (ends[:-1] + ends[1:]) if trace.s_breaks.size else [0.0]
+            expected = [
+                float(traj.state_at(min(dom.boundary_time(s), dom.t2 - 1e-13)).value_at(s))
+                for s in map(float, mids)
+            ]
+            assert trace.values.tolist() == expected
+
+
+def test_trace_refuses_crossings_that_do_not_chain():
+    # not a weak solution: the left front hands on 1.5, the right takes up 1.0
+    fl = burgers_flux(2.0)
+    a = front_state(fl, 0.0, [-3.0, -0.9], [0.0, 1.0, 0.0], front_ids=[0, 1])
+    b = front_state(fl, 0.5, [-2.75, -0.65], [0.0, 1.5, -0.5], front_ids=[0, 1])
+    traj = Trajectory(
+        flux=fl, snapshots=[a, b], t_end=1.5, mode="as_given", rarefaction_step=0.01
+    )
+    dom = TrapezoidDomain(0.1, 1.4, 0.3, 0.3)
+    with pytest.raises(InvariantViolation, match=r"s=-2\.54.* and s=-0\.77"):
         trace_on_lambda(traj, dom)
 
 
