@@ -6,8 +6,9 @@ the tracker keeps it as one front moving at chord speed 1/2, which is a
 perfectly good weak solution and a perfectly bad entropic one: the jump
 manufactures entropy at rate 1/12 for as long as it lives.
 
-trapezoid_splice cuts out a space-time trapezoid, re-solves the data on
-its lower edge entropically, and glues the result back in.  Inside the
+trapezoid_splice cuts out a space-time trapezoid, re-solves it
+entropically from its whole boundary trace (the flat bottom, plus the
+lateral edges as uncover events), and glues the result back in.  Inside the
 trapezoid the held shock becomes a rarefaction staircase, entropy
 production drops to the staircase's O(du^2) floor, and the weak-form
 residual stays at quadrature level because the patch matches the outer
@@ -47,7 +48,7 @@ def main() -> None:
                   t_end=1.5, mode="as_given")
 
     dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=2.0, lambda_hat=0.2)
-    spliced = trapezoid_splice(held, dom, rarefaction_step=0.02)
+    spliced = trapezoid_splice(held, dom)
 
     window = Window(dom.t1, dom.t2)
     ep_before = total_ep(held, window).total_abs

@@ -685,7 +685,7 @@ def cmd_splice(cfg: dict) -> int:
     )
     if dom.t2 > t_end + 1e-12:
         raise ConfigError(f"domain t2={dom.t2} exceeds t_end={t_end}")
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=step)
+    spliced = trapezoid_splice(traj, dom)
     window = _window(cfg, dom.t2)
     if window.t_hi > dom.t2 + 1e-12:
         raise ConfigError(

@@ -107,11 +107,6 @@ def kinetic_density(
     """
     _check_states(flux, u_minus, u_plus)
     check_finite("a", np.asarray(a, dtype=float))
-    return _kinetic_density(flux, u_minus, u_plus, a)
-
-
-def _kinetic_density(flux: ConvexFlux, u_minus, u_plus, a) -> ArrayLike:
-    """kinetic_density without its checks."""
     um, up = np.asarray(u_minus, dtype=float), np.asarray(u_plus, dtype=float)
     return _float_or_array(_defect(flux, um, up, _chord_speeds(flux, um, up), a))
 

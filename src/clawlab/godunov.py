@@ -339,6 +339,8 @@ def run_godunov(
     span_hi = float(xs[-1]) if xs.size else 1.0
     pad = t_end * max_char_speed(flux, us)
     base = (span_hi - span_lo) + 2.0 * pad
+    if base == 0.0:  # one breakpoint that does not move gets constant data's width
+        span_lo, span_hi, base = span_lo - 1.0, span_hi + 1.0, 2.0
     if n_cells < 8:
         raise FluxRangeError(f"need at least 8 cells, got {n_cells}")
     dx = base / (n_cells - 4)

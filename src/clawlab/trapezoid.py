@@ -302,11 +302,7 @@ def _merge_states(
     return front_state(flux, t_emit, pos, states, kinds[keep], ids[keep])
 
 
-def trapezoid_splice(
-    traj: Trajectory,
-    dom: TrapezoidDomain,
-    rarefaction_step: float | None = None,
-) -> Trajectory:
+def trapezoid_splice(traj: Trajectory, dom: TrapezoidDomain) -> Trajectory:
     """Replace traj inside Gamma by the entropic re-solve of its trace.
 
     Returns a full trajectory on [traj.t_start, dom.t2]: identical to traj
@@ -315,38 +311,36 @@ def trapezoid_splice(
     boundary), so expansion shocks that lived inside Gamma are gone and
     entropy production over any window containing Gamma cannot increase
     beyond the staircase discretization of the re-solved rarefactions.
-    rarefaction_step, traj's by default, follows _fragment_step's rule.
+    The re-solve uses traj.rarefaction_step, checked by _fragment_step.
     """
     flux = traj.flux
-    if rarefaction_step is None:
-        rarefaction_step = traj.rarefaction_step
-    rarefaction_step = _fragment_step(flux, rarefaction_step)
-    state_sup = max(
-        (float(np.max(np.abs(s.states))) for s in traj.snapshots), default=0.0
-    )
+    rarefaction_step = _fragment_step(flux, traj.rarefaction_step)
+    # one read of each snapshot's rows gives the state bound and the id offset
+    state_sup, top_ids = 0.0, []
+    for s in traj.snapshots:
+        rows = s.rows
+        states = np.concatenate(([s.left_state], s.table.u_plus.take(rows)))
+        state_sup = max(state_sup, float(np.max(np.abs(states))))
+        if rows.size:
+            top_ids.append(int(np.max(s.table.id.take(rows))))
+    id_offset = 1 + max(top_ids, default=0)
     validate_domain(dom, flux, boundary_sup=state_sup)
     trace = trace_on_lambda(traj, dom)
 
-    flat = [c for c in trace.crossings if c.side == "flat"]
-    lateral = [c for c in trace.crossings if c.side != "flat"]
-    pos0 = [c.s for c in flat]
-    vals0 = [trace.value_at(-dom.delta + 1e-12)]
-    for c in flat:
-        vals0.append(c.u_after)
-    seed = front_state(flux, dom.t1, pos0, vals0)
+    # the crossings are sorted by s: the left ones, the flat ones, the right ones
+    sides = [c.side for c in trace.crossings]
+    lo, hi = sides.count("left"), len(sides) - sides.count("right")
+    seed = front_state(flux, dom.t1, trace.s_breaks[lo:hi], trace.values[lo : hi + 1])
     seed = entropic_resolve_state(flux, seed, rarefaction_step)
 
     uncovers = []
-    for c in lateral:
+    for c in trace.crossings[:lo] + trace.crossings[hi:]:
         t_u = dom.boundary_time(c.s)
         new_value = c.u_before if c.side == "left" else c.u_after
         uncovers.append((t_u, c.s, c.side, new_value))
 
     resolved = _track(flux, seed, dom.t2, "entropic", rarefaction_step, uncovers)
 
-    id_offset = 1 + max(
-        (int(np.max(s.front_ids)) for s in traj.snapshots if s.n_fronts), default=0
-    )
     times = {dom.t1, dom.t2}
     times.update(t for t in (s.time for s in traj.snapshots) if dom.t1 < t < dom.t2)
     times.update(t for t in (s.time for s in resolved.snapshots) if dom.t1 <= t <= dom.t2)

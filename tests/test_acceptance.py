@@ -142,8 +142,10 @@ def test_criterion_4_splice_monotonicity():
         j = int(rng.integers(0, n))
         us[j + 1] = us[j] + float(rng.uniform(0.4, 0.5))  # plant an expansion
         us = np.clip(us, -1.5, 1.5)
-        traj = evolve(state_from_data(flux, xs, us), flux, 1.0, mode="as_given")
-        spliced = trapezoid_splice(traj, dom, rarefaction_step=0.02)
+        traj = evolve(
+            state_from_data(flux, xs, us), flux, 1.0, mode="as_given", rarefaction_step=0.02
+        )
+        spliced = trapezoid_splice(traj, dom)
         resid = float(trajectory_max_residual(spliced))
         worst_resid = max(worst_resid, resid)
         ok &= resid <= 1e-7

@@ -422,6 +422,18 @@ def test_fv_checks_and_convergence(tmp_path):
     assert len(rows) == 120
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fv_over_zero_time_runs_no_step(tmp_path):
+    cfg = write_cfg(
+        tmp_path, "c.json", {"initial": {"kind": "riemann", "u_l": 1.0, "u_r": 0.0}, "t_end": 0.0}
+    )
+    out = tmp_path / "o"
+    assert run(["fv", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "fv_summary.json").read_text())
+    assert summary["steps"] == 0
+    assert summary["mass_drift"] == 0.0
+
+
 def test_delta_audit_default_pair(tmp_path):
     out = tmp_path / "o"
     assert run(["delta-audit", "--out", str(out)]) == 0

@@ -1,6 +1,6 @@
 """Wavefront tracking: snapshots, collisions, staircases, conservation."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -604,7 +604,7 @@ def test_bad_rarefaction_step_raises_flux_range_error_everywhere(step):
     traj = evolve(state_from_data(fl, [0.0], [0.0, 1.0]), fl, 1.0, mode="as_given")
     dom = TrapezoidDomain(t1=0.2, t2=0.8, delta=0.5, lambda_hat=0.9 * lambda0(fl, 1.0))
     with pytest.raises(FluxRangeError, match="rarefaction_step"):
-        trapezoid_splice(traj, dom, rarefaction_step=step)
+        trapezoid_splice(replace(traj, rarefaction_step=step), dom)
 
 
 @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])

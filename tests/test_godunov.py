@@ -632,6 +632,19 @@ def test_snapshot_times_past_the_last_step_get_the_final_grid():
         assert snap.u.tobytes() == run.grid.u.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("us, t_end", [([1.0, 0.0], 0.0), ([0.0, 0.0], 1.0)])
+def test_one_breakpoint_that_does_not_move_gets_the_constant_data_grid(us, t_end):
+    # the data's span and its padding are both 0: the grid used to have
+    # zero width (0 / 0 cell averages, then "empty interval [0.0, 0.0]")
+    fl = make_flux("burgers", domain_radius=1.5)
+    run = run_godunov(fl, [0.0], us, t_end, 50)
+    flat = run_godunov(fl, [], us[:1], t_end, 50)
+    assert (run.grid.x_min, run.grid.x_max) == (flat.grid.x_min, flat.grid.x_max)
+    assert run.grid0.u.tolist() == [us[0]] * 25 + [us[1]] * 25
+    assert run.mass_drift == 0.0
+
+
 @pytest.mark.parametrize("name", ["burgers", "cosh", "poly4"])
 def test_step_keeps_signed_zeros_and_subnormals_bit_for_bit(name):
     # max(u, u_s) and min(u, u_s) of a signed zero or a subnormal cell

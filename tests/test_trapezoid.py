@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clawlab import trapezoid
 from clawlab import (
     ClawError,
     InvariantViolation,
@@ -209,10 +210,12 @@ def test_splice_is_identity_on_entropic_data():
 
 def test_splice_replaces_interior_expansion_shock():
     fl = burgers_flux()
-    traj = evolve(state_from_data(fl, [0.0], [0.0, 1.0]), fl, 1.0, mode="as_given")
     du = 0.05
+    traj = evolve(
+        state_from_data(fl, [0.0], [0.0, 1.0]), fl, 1.0, mode="as_given", rarefaction_step=du
+    )
     dom = TrapezoidDomain(t1=0.25, t2=1.0, delta=0.3, lambda_hat=0.24)
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=du)
+    spliced = trapezoid_splice(traj, dom)
     win = Window(0.0, 1.0)
     before = total_ep(traj, win).total
     after = total_ep(spliced, win).total
@@ -229,10 +232,12 @@ def test_splice_replaces_interior_expansion_shock():
 
 def test_splice_handles_laterally_entering_expansion_shock():
     fl = burgers_flux(2.0)
-    traj = evolve(state_from_data(fl, [-1.0], [1.0, 2.0]), fl, 1.5, mode="as_given")
     du = 0.05
+    traj = evolve(
+        state_from_data(fl, [-1.0], [1.0, 2.0]), fl, 1.5, mode="as_given", rarefaction_step=du
+    )
     dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=0.2, lambda_hat=0.2)
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=du)
+    spliced = trapezoid_splice(traj, dom)
     assert any(e.kind == "uncover" for e in spliced.events)
     assert trajectory_max_residual(spliced) <= WEAK_TOL
     win = Window(0.0, 1.25)
@@ -250,11 +255,11 @@ def test_splice_refuses_composite_ids_past_the_int32_limit():
     ids pass 2**31 - 1, and the splice refuses them by name, not wrapped."""
     fl = burgers_flux()
     state = front_state(fl, 0.0, [0.0], [0.0, 1.0], front_ids=[2**31 - 10])
-    traj = evolve(state, fl, 1.0, mode="as_given")
+    traj = evolve(state, fl, 1.0, mode="as_given", rarefaction_step=0.05)
     assert traj.snapshots[-1].front_ids.tolist() == [2**31 - 10]
     dom = TrapezoidDomain(t1=0.25, t2=1.0, delta=0.3, lambda_hat=0.24)
     with pytest.raises(InvariantViolation, match="outside the int32 range"):
-        trapezoid_splice(traj, dom, rarefaction_step=0.05)
+        trapezoid_splice(traj, dom)
 
 
 def test_splice_keeps_kinds_admissible_inside_and_verbatim_outside():
@@ -262,9 +267,11 @@ def test_splice_keeps_kinds_admissible_inside_and_verbatim_outside():
     inside the domain only admissible kinds live; outside it the original
     expansion shock keeps its position, id and kind until it enters."""
     fl = burgers_flux(2.0)
-    traj = evolve(state_from_data(fl, [-1.0], [1.0, 2.0]), fl, 1.5, mode="as_given")
+    traj = evolve(
+        state_from_data(fl, [-1.0], [1.0, 2.0]), fl, 1.5, mode="as_given", rarefaction_step=0.05
+    )
     dom = TrapezoidDomain(t1=0.25, t2=1.25, delta=0.2, lambda_hat=0.2)
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=0.05)
+    spliced = trapezoid_splice(traj, dom)
     inside = 0
     for snap in spliced.snapshots:
         if not dom.t1 < snap.time <= dom.t2:
@@ -290,9 +297,9 @@ def test_splice_keeps_kinds_admissible_inside_and_verbatim_outside():
 def test_splice_ep_monotone_on_windows_containing_gamma():
     fl = burgers_flux()
     state = state_from_data(fl, [-0.4, 0.4], [0.0, 1.0, 0.0])
-    traj = evolve(state, fl, 1.2, mode="as_given")
+    traj = evolve(state, fl, 1.2, mode="as_given", rarefaction_step=0.02)
     dom = TrapezoidDomain(t1=0.2, t2=1.2, delta=0.6, lambda_hat=0.24)
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=0.02)
+    spliced = trapezoid_splice(traj, dom)
     for win in (
         Window(0.0, 1.2),
         Window(0.1, 1.2),
@@ -304,9 +311,9 @@ def test_splice_ep_monotone_on_windows_containing_gamma():
 def test_splice_seams_are_continuous_across_lambda():
     fl = burgers_flux()
     state = state_from_data(fl, [-0.4, 0.4], [0.0, 1.0, 0.0])
-    traj = evolve(state, fl, 1.2, mode="as_given")
+    traj = evolve(state, fl, 1.2, mode="as_given", rarefaction_step=0.02)
     dom = TrapezoidDomain(t1=0.2, t2=1.2, delta=0.6, lambda_hat=0.24)
-    spliced = trapezoid_splice(traj, dom, rarefaction_step=0.02)
+    spliced = trapezoid_splice(traj, dom)
     for t in (0.5, 0.9, 1.1):
         bl = float(dom.theta_minus(t))
         br = float(dom.theta_plus(t))
@@ -316,6 +323,91 @@ def test_splice_seams_are_continuous_across_lambda():
             assert st.value_at(edge - 1e-10) == pytest.approx(
                 float(traj.state_at(t).value_at(edge - 1e-10)), abs=1e-9
             )
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call trapezoid_splice makes to trapezoid.<name>."""
+    calls = []
+    real = getattr(trapezoid, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trapezoid, name, spy)
+    return calls
+
+
+def test_splice_reads_the_bound_and_id_offset_of_every_table(monkeypatch):
+    """A spliced trajectory's snapshots each have their own front table.
+    Splicing it again, and splicing inputs with negative ids or no fronts,
+    the state bound and the composite id offset equal the two scans of the
+    snapshots kept here as the reference."""
+    bounds = _spy(monkeypatch, "validate_domain")
+    merges = _spy(monkeypatch, "_merge_states")
+    fl = burgers_flux()
+    traj = evolve(
+        state_from_data(fl, [-1.0, -0.2, 0.5], [0.0, 1.0, -0.5, 0.0]), fl, 1.2,
+        mode="as_given", rarefaction_step=0.05,
+    )
+    once = trapezoid_splice(traj, TrapezoidDomain(0.2, 1.2, 0.6, 0.24))
+    assert len({id(s.table) for s in once.snapshots}) == len(once.snapshots) == 7
+    negative = front_state(fl, 0.0, [-0.3, 0.2], [0.0, 1.0, 0.0], front_ids=[-7, -3])
+    flat = state_from_data(fl, [], [0.5])
+    dom = TrapezoidDomain(0.25, 1.0, 0.3, 0.24)
+    cases = [
+        (once, TrapezoidDomain(0.55, 1.1, 0.4, 0.24)),
+        (evolve(negative, fl, 1.0, mode="as_given"), dom),  # id offset -2
+        (evolve(flat, fl, 1.0), dom),  # no fronts: id offset 1
+    ]
+    offsets = []
+    for traj, dom in cases:
+        bounds.clear()
+        merges.clear()
+        spliced = trapezoid_splice(traj, dom)
+        assert trajectory_max_residual(spliced) <= WEAK_TOL
+        state_sup = max((float(np.max(np.abs(s.states))) for s in traj.snapshots), default=0.0)
+        id_offset = 1 + max(
+            (int(np.max(s.front_ids)) for s in traj.snapshots if s.n_fronts), default=0
+        )
+        assert [kw["boundary_sup"] for _, kw in bounds] == [state_sup]
+        assert merges and {args[5] for args, _ in merges} == {id_offset}
+        offsets.append(id_offset)
+    assert offsets[1:] == [-2, 1]
+
+
+def test_splice_seed_is_the_flat_slice_of_the_trace(monkeypatch):
+    # the reference probes the trace just right of the left corner, then
+    # takes the flat crossings' positions and the states they hand on
+    seeds = _spy(monkeypatch, "entropic_resolve_state")
+    rng = np.random.default_rng(35)
+    sides = []
+    for name in ("burgers", "cosh", "poly4"):
+        fl = make_flux(name, domain_radius=1.5)
+        dom = TrapezoidDomain(0.2, 0.8, 0.5, 0.9 * lambda0(fl, 1.0))
+        for _ in range(15):
+            n = int(rng.integers(2, 7))
+            xs = np.sort(rng.uniform(-1.0, 1.0, n))
+            us = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, n - 1), [0.0]))
+            traj = evolve(state_from_data(fl, xs, us), fl, 1.0, mode="as_given",
+                          rarefaction_step=0.05)
+            trace = trace_on_lambda(traj, dom)
+            flat = [c for c in trace.crossings if c.side == "flat"]
+            sides += [c.side for c in trace.crossings]
+            seeds.clear()
+            try:
+                trapezoid_splice(traj, dom)
+            except InvariantViolation as exc:
+                # after seeding, one poly4 draw meets the merge's seam defect
+                # (two ulp-apart copies of one collision time)
+                assert "do not fan out" in str(exc)
+            [(args, _)] = seeds
+            seed = args[1]
+            assert seed.positions.tolist() == [c.s for c in flat]
+            assert seed.states.tolist() == [
+                float(trace.value_at(-dom.delta + 1e-12)), *(c.u_after for c in flat)
+            ]
+    assert [sides.count(side) for side in ("left", "flat", "right")] == [49, 82, 45]
 
 
 @pytest.mark.parametrize(
