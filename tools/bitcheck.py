@@ -11,10 +11,10 @@ prints one ``<group> <sha256>`` line per group:
   catalog fluxes and both tracking modes;
 - ``<workload>/<case>/<part>`` for the first --cases cases of each
   workload at --seed, tracked as the workload tracks them;
-- ``splice-seam/<case>``: the splice of seed-1 ``splice`` cases 22, 40, 44
-  and 66, which raises ``InvariantViolation`` where the re-solve meets the
-  original, whatever --seed and --cases say, so every run digests the
-  error path of a splice;
+- ``splice-seam/<case>/<part>``: the splice of seed-1 ``splice`` cases 22,
+  40, 44 and 66, which raises ``InvariantViolation`` where the re-solve
+  meets the original, whatever --seed and --cases say, so every run
+  digests the error path of a splice;
 - ``godunov/<case>/<cells>``: the final cells, ``step_times``, ``step_ep``
   and ``mass_drift`` of ``run_godunov`` on the first --cases ``triangle``
   cases at 50, 100, 200 and 400 cells, to t = 1 as the workload runs
@@ -29,10 +29,12 @@ from the last snapshot to the first), ``events``, ``lifetimes`` (every
 column), ``state_at`` (the snapshot at 13 times across its span),
 ``ledgers`` (the rows and totals of ``total_ep``, ``total_ep_kinetic``
 and ``total_ep_delta_h1`` over a full and a bounded window) and ``weak``
-(the residual of every bump of its default battery). ``splice`` digests
-the spliced trajectory's parts, or the error a splice raises. Running this
-on two checkouts and diffing the outputs shows whether a change keeps
-every bit. Uses the standard library and numpy only.
+(the residual of every bump of its default battery). A splice adds one
+``splice/<part>`` line per part of the spliced trajectory, or one
+``splice/error`` line with the error it raises, so a diff names the part
+that moved. Running this on two checkouts and diffing the outputs shows
+whether a change keeps every bit. Uses the standard library and numpy
+only.
 """
 
 from __future__ import annotations
@@ -136,16 +138,15 @@ def trajectory_parts(clawlab, traj) -> dict[str, str]:
     return out
 
 
-def splice_part(clawlab, traj, dom) -> str:
-    d = Digest()
+def splice_parts(clawlab, traj, dom) -> dict[str, str]:
+    """The spliced trajectory's parts, or its one ``error`` part."""
     try:
         spliced = clawlab.trapezoid_splice(traj, dom)
     except clawlab.ClawError as exc:
+        d = Digest()
         d.value((type(exc).__name__, str(exc)))
-        return d.hex()
-    for name, h in trajectory_parts(clawlab, spliced).items():
-        d.value((name, h))
-    return d.hex()
+        return {"error": d.hex()}
+    return trajectory_parts(clawlab, spliced)
 
 
 def emit(prefix: str, parts: dict[str, str]) -> None:
@@ -160,14 +161,14 @@ def fixtures(clawlab) -> None:
             fl = sc.make_flux(flux_name)
             for mode in MODES:
                 traj = clawlab.evolve(sc.initial_state(fl), fl, sc.t_end, mode=mode)
-                parts = trajectory_parts(clawlab, traj)
+                prefix = f"fixture/{name}/{flux_name}/{mode}"
+                emit(prefix, trajectory_parts(clawlab, traj))
                 T = sc.t_end
                 dom = clawlab.TrapezoidDomain(
                     t1=0.2 * T, t2=0.8 * T, delta=0.5,
                     lambda_hat=0.9 * clawlab.lambda0(fl, sc.flux_radius),
                 )
-                parts["splice"] = splice_part(clawlab, traj, dom)
-                emit(f"fixture/{name}/{flux_name}/{mode}", parts)
+                emit(f"{prefix}/splice", splice_parts(clawlab, traj, dom))
 
 
 def workloads(clawlab, seed: int, n_cases: int) -> None:
@@ -185,10 +186,10 @@ def workloads(clawlab, seed: int, n_cases: int) -> None:
         for c in wl.WORKLOADS[name].cases(seed, tr)[:n_cases]:
             state = clawlab.state_from_data(c.flux, c.xs, c.us)
             traj = clawlab.evolve(state, c.flux, 1.0, mode=mode, rarefaction_step=step)
-            parts = trajectory_parts(clawlab, traj)
+            emit(f"{name}/{c.index}", trajectory_parts(clawlab, traj))
             if name == "splice":
-                parts["splice"] = splice_part(clawlab, traj, splice_domain(clawlab, c.flux))
-            emit(f"{name}/{c.index}", parts)
+                emit(f"{name}/{c.index}/splice",
+                     splice_parts(clawlab, traj, splice_domain(clawlab, c.flux)))
             del traj
 
 
@@ -208,8 +209,7 @@ def seam_failures(clawlab) -> None:
         state = clawlab.state_from_data(c.flux, c.xs, c.us)
         traj = clawlab.evolve(state, c.flux, 1.0, mode="as_given",
                               rarefaction_step=wl.SPLICE_DELTA_U)
-        print(f"splice-seam/{c.index} {splice_part(clawlab, traj, splice_domain(clawlab, c.flux))}",
-              flush=True)
+        emit(f"splice-seam/{c.index}", splice_parts(clawlab, traj, splice_domain(clawlab, c.flux)))
 
 
 def godunov_run_into(d: Digest, run) -> None:
