@@ -11,7 +11,7 @@ entropically from its whole boundary trace (the flat bottom, plus the
 lateral edges as uncover events), and glues the result back in.  Inside the
 trapezoid the held shock becomes a rarefaction staircase, entropy
 production drops to the staircase's O(du^2) floor, and the weak-form
-residual stays at quadrature level because the patch matches the outer
+residual stays at rounding level because the patch matches the outer
 solution along the lateral edges.
 
 Writes before/after profiles at t = 1.0 under demos/out/.

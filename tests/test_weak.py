@@ -44,15 +44,11 @@ def test_bump_calculus():
     psi = BumpTest(x0=0.3, t0=0.5, ax=0.8, bt=0.4)
     xs = np.linspace(-0.6, 1.2, 7)
     h = 1e-6
-    dx = (psi.value(xs + h, 0.5) - psi.value(xs - h, 0.5)) / (2 * h)
-    assert np.allclose(psi.dx(xs, 0.5), dx, atol=1e-5)
-    dt = (psi.value(0.3, 0.5 + h) - psi.value(0.3, 0.5 - h)) / (2 * h)
-    assert psi.dt(0.3, 0.5) == pytest.approx(float(dt), abs=1e-5)
     anti = (psi.x_anti(xs + h) - psi.x_anti(xs - h)) / (2 * h)
     assert np.allclose(anti, psi.x_part(xs), atol=1e-6)
     # support edges
-    assert psi.value(0.3 + 0.81, 0.5) == 0.0
-    assert psi.value(0.3, 0.5 + 0.41) == 0.0
+    assert psi.x_part(0.3 + 0.81) == 0.0
+    assert psi.t_part(0.5 + 0.41) == 0.0
 
 
 @pytest.mark.parametrize("name", ["single_shock", "two_shock_merge", "rarefaction_pair"])
@@ -267,3 +263,45 @@ def test_bump_alive_at_the_end_time_is_refused():
         weak.fan_weak_residual(solve_riemann(fl, 1.0, 0.0), psi, 1.0)
     # a support ending exactly at the end time is dead there
     assert trajectory_max_residual(traj, [BumpTest(0.0, 0.5, 1.0, 0.5)]) <= WEAK_TOL
+
+
+def _fan_battery(fan):
+    """fan_max_residual's default battery at t_max = 1."""
+    speeds = [s for w in fan.waves for s in w.support] or [0.0]
+    lo, hi = min(speeds), max(speeds)
+    pad = max(1.0, 0.3 * (hi - lo))
+    return bump_battery(lo - pad, hi + pad, 0.0, 1.0)
+
+
+def test_exact_fans_score_at_rounding_on_every_bump():
+    # the rarefaction remainder once read up to 3.4e-10 here
+    rng = np.random.default_rng(13)
+    fans = []
+    for name in ("burgers", "cosh", "poly4"):
+        fl = make_flux(name, domain_radius=2.0)
+        # the sonic rarefaction's support straddles omega = 0
+        fans += [solve_riemann(fl, u_l, u_r) for u_l, u_r in ((1.0, -0.5), (-0.5, 1.0), (-1.9, 1.9))]
+        for _ in range(30):
+            u_l, u_r = np.sort(rng.uniform(-1.9, 1.9, 2))
+            fans.append(random_family_member(rng, fl, u_l, u_r))
+    # a non-monotone chain: Burgers data (1, 0) through -0.5 and 1.5
+    fl = burgers_flux(2.0)
+    chain = (Shock(1.0, -0.5, 0.25), Shock(-0.5, 1.5, 0.5), Shock(1.5, 0.0, 0.75))
+    fans.append(WaveFan(fl, 1.0, 0.0, chain, "non-entropic"))
+    for fan in fans:
+        for psi in _fan_battery(fan):
+            assert abs(weak.fan_weak_residual(fan, psi, 1.0)) <= 1e-13
+
+
+def test_broken_fans_keep_their_scores():
+    # the scores of the rarefaction-remainder residual; the stretched
+    # rarefaction moved 5.6e-11, its quadrature noise
+    fl = burgers_flux(2.0)
+    scored = (
+        (Shock(1.0, -0.5, 0.35), 1.0, -0.5, 0.052854473437754804),
+        (Shock(-0.5, 1.0, 0.30), -0.5, 1.0, 0.02662284265747846),
+        (Rarefaction(-0.5, 1.0, -0.4, 1.1), -0.5, 1.0, 0.0017686300415744594),
+    )
+    for wave, u_l, u_r, score in scored:
+        fan = WaveFan(fl, u_l, u_r, (wave,), "non-entropic")
+        assert fan_max_residual(fan, 1.0, _fan_battery(fan)) == pytest.approx(score, abs=1e-9)

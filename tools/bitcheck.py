@@ -20,6 +20,12 @@ prints one ``<group> <sha256>`` line per group:
   cases at 50, 100, 200 and 400 cells, to t = 1 as the workload runs
   them, and ``godunov/<case>/200/snapshots`` for a run that also takes
   snapshots at t = 0.3 and 0.7;
+- ``fan/<flux>/<label>``: ``fan_max_residual`` and every bump's
+  ``fan_weak_residual`` on ``bump_battery(-2, 2, 0, 1)``, both to
+  t_max = 1, for each fan of ``family_sweep(flux, -1, 1, members=12,
+  seed=7)`` on the three catalog fluxes, the sonic poly4 fan of
+  (-1.9, 1.9) (``fan/poly4/sonic``) and three Burgers fans off the
+  Rankine-Hugoniot or characteristic speeds (``fan/burgers/broken_*``);
 - ``cli/<command>/<label>``: exit code, stdout, stderr and every artifact
   of 150 CLI runs on the fixtures and on Riemann data.
 
@@ -236,6 +242,31 @@ def godunov_runs(clawlab, seed: int, n_cases: int) -> None:
         print(f"godunov/{c.index}/200/snapshots {d.hex()}", flush=True)
 
 
+def fan_residuals(clawlab) -> None:
+    from clawlab.riemann import Rarefaction, Shock, WaveFan
+
+    fans = []
+    for flux_name in FLUXES:
+        fl = clawlab.make_flux(flux_name)
+        roster = clawlab.family_sweep(fl, -1.0, 1.0, members=12, seed=7)
+        fans += [(f"{flux_name}/{label}", fan) for label, fan in roster]
+    fans.append(("poly4/sonic", clawlab.solve_riemann(clawlab.poly4_flux(), -1.9, 1.9)))
+    fl = clawlab.burgers_flux()
+    for label, u_l, u_r, wave in (
+        ("broken_shock", 1.0, -0.5, Shock(1.0, -0.5, 0.35)),
+        ("broken_expansion", -0.5, 1.0, Shock(-0.5, 1.0, 0.30)),
+        ("broken_rarefaction", -0.5, 1.0, Rarefaction(-0.5, 1.0, -0.4, 1.1)),
+    ):
+        fans.append((f"burgers/{label}", WaveFan(fl, u_l, u_r, (wave,), "entropic")))
+    battery = clawlab.bump_battery(-2.0, 2.0, 0.0, 1.0)
+    for label, fan in fans:
+        d = Digest()
+        d.value(clawlab.fan_max_residual(fan, 1.0))
+        for psi in battery:
+            d.value(clawlab.fan_weak_residual(fan, psi, 1.0))
+        print(f"fan/{label} {d.hex()}", flush=True)
+
+
 def cli_runs() -> list[tuple[str, str, dict, list[str]]]:
     """(command, label, config, extra flags) of each CLI run."""
     import clawlab
@@ -308,6 +339,7 @@ def main(argv=None) -> int:
     workloads(clawlab, args.seed, args.cases)
     seam_failures(clawlab)
     godunov_runs(clawlab, args.seed, args.cases)
+    fan_residuals(clawlab)
     if not args.no_cli:
         cli()
     return 0
